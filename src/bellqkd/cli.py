@@ -76,13 +76,14 @@ def _load_state(path: str) -> states.TwoQubitState:
         raise _CliError(EXIT_USAGE, f"malformed state file: {e}")
 
 
-def _validated(path: str) -> states.TwoQubitState:
+def _validated(path: str):
+    """The state in ``path`` and its validity report; exit 1 if invalid."""
     st = _load_state(path)
     rep = states.validate(st)
     if not rep.ok:
         raise _CliError(EXIT_INVALID_STATE,
                         "invalid state: " + "; ".join(rep.failures))
-    return st
+    return st, rep
 
 
 def _summary_doc(ms: filtering.MetricsSummary) -> dict:
@@ -97,8 +98,7 @@ def _summary_doc(ms: filtering.MetricsSummary) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    st = _validated(args.state_file)
-    rep = states.validate(st)
+    st, rep = _validated(args.state_file)
     spec = metrics.correlation_spectrum(st)
     try:
         s = metrics.optimal_chsh_settings(spec)
@@ -129,7 +129,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    st = _validated(args.state_file)
+    st, _ = _validated(args.state_file)
     try:
         out = filtering.filtered_key_rate(st)
     except filtering.TrivialNormalFormError as e:
@@ -154,7 +154,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    st = _validated(args.state_file)
+    st, _ = _validated(args.state_file)
     try:
         cfg = protocol_sim.SimConfig(
             rounds=args.rounds, seed=args.seed,

@@ -5,8 +5,18 @@ a proper orthochronous Lorentz transformation L_f = V (f x f*) V^dag / |det f|;
 this double cover is what makes single-copy entanglement concentration a
 piece of Minkowski geometry. The normal form M = L1 Sigma L2^T (Sigma
 diagonal for almost every state, an X-patterned matrix on a measure-zero
-set) directly yields the optimal filters: invert L1, L2 back through the
-double cover and rescale to unit operator norm.
+set; Verstraete, Dehaene and De Moor, PRA 64, 010101(R), 2001) directly
+yields the optimal filters: invert L1, L2 back through the double cover
+and rescale to unit operator norm.
+
+The Diagonal form comes from one eigenspace construction. L1 e0 = u is
+the time-like eigenvector of W = M G M^T G for its top eigenvalue
+sigma0^2 (the most time-like unit vector of that eigenspace when it is
+degenerate), L2 e0 is M^T G u normalised, the pure boosts taking both to
+e0 leave sigma0 (+) T, and a proper SVD of the 3x3 block T gives the
+rotations. Where u or L2 e0 does not exist the state has the X pattern,
+and a separate reduction finds its (a, b, c, d); pure product states are
+the X pattern (1, 1, 1, 0) outright.
 
 Entanglement measures (Wootters concurrence, entanglement of formation)
 live here too since the filtering analysis is what consumes them.
@@ -214,9 +224,14 @@ def _lorentz_inverse(L: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # normal form
 
-class _FallThrough(Exception):
-    # internal: diagonal reduction not applicable, try the X route
-    pass
+# Eigenvalues of W = M G M^T G within this distance, relative to
+# 1 + max|eigenvalue|, span one eigenspace. Rounding splits the degenerate
+# top eigenvalue of rank-2 and pure states by about 1e-15, far below it.
+# Near the X pattern the top eigenvalues are split by the state itself, and
+# p_succ there depends on where the bound falls: 1e-8 or 1e-6 move it by up
+# to 50 % on near-X states lam |Phi+><Phi+| + (1 - lam)|00><00| + 1e-7 noise.
+# 1e-7 is the bound the Diagonal route has always used.
+_EIG_RTOL = 1e-7
 
 
 def _polish(L: np.ndarray) -> np.ndarray:
@@ -224,74 +239,6 @@ def _polish(L: np.ndarray) -> np.ndarray:
     for _ in range(2):
         L = L - 0.5 * (L @ _G @ L.T @ _G - _I4) @ L
     return L
-
-
-def _group_eigvecs(evals: np.ndarray, evecs: np.ndarray):
-    """Group near-equal eigenvalues; return per-group real orthonormal bases."""
-    scale = 1.0 + np.abs(evals).max()
-    order = np.argsort(-evals)
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and abs(evals[idx] - evals[groups[-1][0]]) <= 1e-7 * scale:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    out = []
-    for grp in groups:
-        cols = []
-        for k in grp:
-            v = evecs[:, k]
-            cols.append(v.real)
-            if np.abs(v.imag).max() > 1e-12:
-                cols.append(v.imag)
-        B = np.column_stack(cols)
-        # orthonormal basis of the group's invariant subspace
-        U, s, _ = np.linalg.svd(B, full_matrices=False)
-        B = U[:, s > 1e-8 * max(s[0], 1e-30)]
-        if B.shape[1] != len(grp):
-            raise _FallThrough("invariant subspace dimension mismatch")
-        out.append((float(evals[grp[0]]), B))
-    return out
-
-
-def _assemble_l1(W: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eig(W)
-    if np.abs(evals.imag).max() > 1e-8 * max(np.linalg.norm(W), 1e-30):
-        raise _FallThrough("complex eigenvalues")
-    time_col = None
-    space: list[tuple[float, np.ndarray]] = []
-    for lam, B in _group_eigvecs(evals.real, evecs):
-        # split the group's subspace G-orthogonally
-        S = B.T @ _G @ B
-        _, Q = np.linalg.eigh(S)
-        for k in range(B.shape[1]):
-            v = B @ Q[:, k]
-            n = float(v @ _G @ v)
-            if abs(n) < 1e-10:
-                raise _FallThrough("near-null eigenvector")
-            if n > 0:
-                if time_col is not None:
-                    raise _FallThrough("two time-like directions")
-                v = v / np.sqrt(n)
-                time_col = v if v[0] > 0 else -v
-            else:
-                space.append((abs(lam), v))
-    if time_col is None:
-        raise _FallThrough("no time-like eigenvector")
-    space.sort(key=lambda t: -t[0])
-    cols = [time_col]
-    for _, v in space:
-        w = v.copy()
-        for c in cols:  # Minkowski Gram-Schmidt sweep across groups
-            w = w - (w @ _G @ c) / (c @ _G @ c) * c
-        n = float(w @ _G @ w)
-        if n > -1e-10:
-            raise _FallThrough("near-null after orthogonalization")
-        cols.append(w / np.sqrt(-n))
-    L1 = np.column_stack(cols)
-    if np.linalg.det(L1) < 0:
-        L1[:, 3] = -L1[:, 3]
-    return _polish(L1)
 
 
 def _complete_column(cols: list) -> np.ndarray:
@@ -305,47 +252,78 @@ def _complete_column(cols: list) -> np.ndarray:
         n = float(w @ _G @ w)
         if n < -1e-8:
             return w / np.sqrt(-n)
-    raise _FallThrough("cannot complete a Lorentz basis")
+    raise RuntimeError("normal-form reduction failed: cannot complete a "
+                       "Lorentz basis")
 
 
-def _diagonal_reduction(M: np.ndarray):
+def _boost(u: np.ndarray) -> np.ndarray:
+    # pure boost taking e0 to the future unit time-like vector u
+    B = np.empty((4, 4))
+    B[0], B[:, 0] = u, u
+    B[1:, 1:] = np.eye(3) + np.outer(u[1:], u[1:]) / (1.0 + u[0])
+    return B
+
+
+def _spatial(R: np.ndarray) -> np.ndarray:
+    L = _I4.copy()
+    L[1:, 1:] = R
+    return L
+
+
+def _diagonal_form(M: np.ndarray):
+    """l1, l2, sigma with M = l1 sigma l2^T and sigma diagonal, or None.
+
+    The construction is the module docstring's: u = l1 e0 from the top
+    eigenspace of W, v = l2 e0 = M^T G u normalised, whitening boosts, and
+    a proper SVD. None means u or v does not exist: M has the X pattern.
+    """
     W = M @ _G @ M.T @ _G
-    L1 = _assemble_l1(W)
-    N = _G @ L1.T @ _G @ M
-    n0 = float(N[0] @ _G @ N[0])
-    if n0 < 1e-12:
-        raise _FallThrough("leading row not time-like")
-    c0 = N[0] / np.sqrt(n0)
-    if c0[0] <= 0:
-        raise _FallThrough("non-orthochronous leading row")
-    sig = np.zeros(4)
-    sig[0] = np.sqrt(n0)
-    cols: list = [c0, None, None, None]
-    for i in (1, 2, 3):
-        nn = float(-(N[i] @ _G @ N[i]))
-        if nn < -1e-10:
-            raise _FallThrough("time-like row in spatial position")
-        if nn > 1e-20:
-            sig[i] = np.sqrt(max(nn, 0.0))
-            cols[i] = N[i] / sig[i]
-    for i in (1, 2, 3):
-        if cols[i] is None:
-            cols[i] = _complete_column(cols)
-    L2 = np.column_stack(cols)
-    if np.linalg.det(L2) < 0:
-        L2[:, 3] = -L2[:, 3]
-        sig[3] = -sig[3]
-    L2 = _polish(L2)
-    full = _G @ L1.T @ _G @ M @ _G @ L2 @ _G
-    off = np.abs(full - np.diag(np.diag(full))).max()
-    if off > 1e-8:
-        raise _FallThrough(f"sigma not diagonal ({off:.3e})")
-    Sigma = np.diag(np.diag(full))
-    if Sigma[0, 0] <= 0:
-        raise _FallThrough("sigma[0][0] not positive")
-    if np.abs(L1 @ Sigma @ L2.T - M).max() > 1e-8:
-        raise _FallThrough("reconstruction failed")
-    return L1, L2, Sigma
+    evals, evecs = np.linalg.eig(W)
+    if np.abs(evals.imag).max() > 1e-8 * max(np.linalg.norm(W), 1e-30):
+        return None  # complex eigenvalues
+    lam = evals.real
+    top = lam >= lam.max() - _EIG_RTOL * (1.0 + np.abs(lam).max())
+    # real orthonormal basis of the top eigenspace (complex pairs split)
+    V = evecs[:, top]
+    B, sv, _ = np.linalg.svd(np.hstack([V.real, V.imag]),
+                             full_matrices=False)
+    if np.count_nonzero(sv > 1e-8 * sv[0]) != np.count_nonzero(top):
+        return None  # defective top eigenspace
+    B = B[:, :np.count_nonzero(top)]
+    w, Q = np.linalg.eigh(B.T @ _G @ B)
+    if w[-1] < 1e-10:
+        return None  # no time-like direction
+    u = B @ Q[:, -1] / np.sqrt(w[-1])
+    u = u if u[0] > 0 else -u
+    v = M.T @ _G @ u
+    nv = float(v @ _G @ v)
+    if nv < 1e-12 or v[0] <= 0:
+        return None  # v not time-like
+    v = v / np.sqrt(nv)
+    # _boost(G u) is the inverse of _boost(u); boosts are symmetric
+    Mw = _boost(_G @ u) @ M @ _boost(_G @ v)
+    R1, s, R2t = np.linalg.svd(Mw[1:, 1:])
+    R2 = R2t.T
+    # singular values equal to _EIG_RTOL sigma0 in the order of the axes
+    # their directions lie along, so Gisin-type states keep diagonal filters
+    tie = np.concatenate([[0], np.cumsum(-np.diff(s) > _EIG_RTOL * Mw[0, 0])])
+    order = np.lexsort((np.abs(R1).argmax(axis=0), tie))
+    R1, s, R2 = R1[:, order], s[order], R2[:, order]
+    for R in (R1, R2):  # proper rotations; a reflection signs the last value
+        if np.linalg.det(R) < 0:
+            R[:, 2] = -R[:, 2]
+            s[2] = -s[2]
+    return (_boost(u) @ _spatial(R1), _boost(v) @ _spatial(R2),
+            np.diag([Mw[0, 0], *s]))
+
+
+def _rotation_to(r: np.ndarray) -> LorentzTransform:
+    # rotation taking z to the unit vector r: the unitary whose first column
+    # is the pure state with Bloch vector r, through the double cover
+    rho = np.array([[1.0 + r[2], r[0] - 1j * r[1]],
+                    [r[0] + 1j * r[1], 1.0 - r[2]]])
+    a, b = np.linalg.eigh(rho)[1][:, 1]
+    return filter_to_lorentz([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
 def _parity_flip_sets(det_negative: bool):
@@ -479,10 +457,10 @@ def _x_reduction(M: np.ndarray):
 def normal_form(m: MuellerMatrix) -> NormalForm:
     """Decompose m = l1 . sigma . l2^T under proper orthochronous transforms.
 
-    Almost every state yields kind=Diagonal. States whose MGM^TG is not
-    diagonalizable over a G-orthonormal basis (a measure-zero set) yield
-    kind=XForm with the (a, b, c, d) pattern parameters. The maximally
-    mixed state is rejected.
+    Almost every state yields kind=Diagonal. States whose MGM^TG has no
+    time-like eigenvector for its top eigenvalue (a measure-zero set, pure
+    product states among them) yield kind=XForm with the (a, b, c, d)
+    pattern parameters. The maximally mixed state is rejected.
     """
     M = np.asarray(m.m, dtype=float)
     if np.abs(M - np.diag([1.0, 0.0, 0.0, 0.0])).max() < 1e-12:
@@ -491,12 +469,19 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
     if np.abs(M - np.diag(np.diag(M))).max() < 1e-12:
         # already Bell-diagonal
         return NormalForm(kind=DIAGONAL, l1=ident, l2=ident, sigma=M.copy())
-    try:
-        L1, L2, Sigma = _diagonal_reduction(M)
+    if (np.abs(M - np.outer(M[:, 0], M[0])).max() < 1e-12
+            and np.sum(M * M) > 4.0 - 1e-12):
+        # pure product state: M = (1, r)(1, s)^T with unit r and s, which is
+        # the X pattern (1, 1, 1, 0) turned by the rotations taking z to r, s
+        e = np.array([1.0, 0.0, 0.0, 1.0])
+        return NormalForm(kind=XFORM, l1=_rotation_to(M[1:, 0]),
+                          l2=_rotation_to(M[0, 1:]), sigma=np.outer(e, e),
+                          xform_params=(1.0, 1.0, 1.0, 0.0))
+    diag = _diagonal_form(M)
+    if diag is not None:
+        L1, L2, Sigma = diag
         return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L1),
                           l2=LorentzTransform(L2), sigma=Sigma)
-    except _FallThrough:
-        pass
     L1, L2, Sigma, params = _x_reduction(M)
     return NormalForm(kind=XFORM, l1=LorentzTransform(L1),
                       l2=LorentzTransform(L2), sigma=Sigma,

@@ -22,7 +22,7 @@ import numpy as np
 from .filtering import apply_filters, optimal_filters
 from .metrics import (chsh_value, correlation_spectrum,
                       optimal_chsh_settings, qber)
-from .states import PAULI, TwoQubitState
+from .states import PAULI, TwoQubitState, to_mueller
 
 __all__ = ["SimConfig", "SimReport", "born_joint_distribution",
            "run_protocol"]
@@ -76,16 +76,10 @@ def born_joint_distribution(state: TwoQubitState, a, b) -> np.ndarray:
     for v in (a, b):
         if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise ValueError("measurement direction must be a unit 3-vector")
-    sa = a[0] * PAULI[1] + a[1] * PAULI[2] + a[2] * PAULI[3]
-    sb = b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3]
-    probs = np.empty(4)
-    k = 0
-    for s in (1.0, -1.0):
-        for t in (1.0, -1.0):
-            proj = np.kron((PAULI[0] + s * sa) / 2.0,
-                           (PAULI[0] + t * sb) / 2.0)
-            probs[k] = np.trace(state.rho @ proj).real
-            k += 1
+    # rows s = +1, -1 of (1, s a), columns t = +1, -1 of (1, t b)
+    x = np.array([[1.0, *a], [1.0, *-a]])
+    y = np.array([[1.0, *b], [1.0, *-b]])
+    probs = (x @ to_mueller(state).m @ y.T).ravel() / 4.0
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-12:
         raise RuntimeError("Born probabilities inconsistent")
     return np.clip(probs, 0.0, None)
@@ -93,15 +87,13 @@ def born_joint_distribution(state: TwoQubitState, a, b) -> np.ndarray:
 
 def _filter_povm_probs(state: TwoQubitState, pair) -> np.ndarray:
     # outcome order: (1,1), (1,2), (2,1), (2,2); "both 1" is the keep event
-    ea = pair.m1.conj().T @ pair.m1
-    eb = pair.n1.conj().T @ pair.n1
-    eye = np.eye(2)
-    probs = np.empty(4)
-    k = 0
-    for A in (ea, eye - ea):
-        for B in (eb, eye - eb):
-            probs[k] = np.trace(state.rho @ np.kron(A, B)).real
-            k += 1
+    # p(A, B) = x_A^T M x_B with x the Pauli coefficients Tr[E sigma_i] / 2
+    # of each POVM element; 1 - E has coefficients e0 - x_E
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    x, y = (np.array([np.trace(f.conj().T @ f @ p).real for p in PAULI]) / 2.0
+            for f in (pair.m1, pair.n1))
+    probs = (np.array([x, e0 - x]) @ to_mueller(state).m
+             @ np.array([y, e0 - y]).T).ravel()
     if probs.min() < -1e-10 or abs(probs.sum() - 1.0) > 1e-10:
         raise RuntimeError("filter POVM probabilities inconsistent")
     return np.clip(probs, 0.0, None)

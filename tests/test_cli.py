@@ -4,6 +4,7 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from bellqkd import cli
@@ -164,6 +165,25 @@ def test_filter_xform(capsys, tmp_path):
     assert doc["separable"] is False
 
 
+def test_filter_pure_products_exit_2(capsys, tmp_path):
+    """Random complex pure products are separable X forms, never a crash."""
+    rng = np.random.default_rng(67)
+    for i in range(300):
+        a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in "ab")
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        rho = np.outer(v, v.conj())
+        path = write(tmp_path, f"prod{i}.json", {"matrix": [
+            [[float(z.real), float(z.imag)] for z in row] for row in rho]})
+        code, out, _ = run(capsys, ["filter", path])
+        assert code == 2, i
+        doc = json.loads(out)
+        assert doc["separable"] is True
+        assert doc["xform_params"] == {"a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}
+        code, _, err = run(capsys, ["simulate", path, "--rounds", "100",
+                                    "--with-filtering"])
+        assert code == 2 and err.startswith("error: "), i
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -255,6 +275,31 @@ def test_sweep_boundary_states_not_filterable(capsys, tmp_path):
         if r["filterable"] == "false":
             assert r["p_succ"] == ""
             assert float(r["r_filtered"]) == 0.0
+
+
+def test_sweep_pure_row(capsys, tmp_path):
+    # mu = 1 is the pure state; a one-sided filter gives 2 min(alpha^2, beta^2)
+    out_path = tmp_path / "pure.csv"
+    code, _, _ = run(capsys, ["sweep", "--family", "gisin",
+                              "--alpha", "0.002:0.002:1", "--mu", "1:1:1",
+                              "--out", str(out_path)])
+    assert code == 0
+    with open(out_path, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["filterable"] == "true"
+    assert float(row["p_succ"]) == 8e-06
+    code, _, _ = run(capsys, ["sweep", "--family", "gisin",
+                              "--alpha", "0.1:0.9:5", "--mu", "1:1:1",
+                              "--out", str(out_path)])
+    assert code == 0
+    with open(out_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for r in rows:
+        al = float(r["alpha"])
+        assert r["filterable"] == "true"
+        assert math.isclose(float(r["p_succ"]), 2 * min(al * al, 1 - al * al),
+                            rel_tol=1e-5)
 
 
 def test_sweep_bad_range(capsys, tmp_path):

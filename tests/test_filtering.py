@@ -174,6 +174,47 @@ def test_x_pattern_pure_product_degenerate():
     assert abs(nf.xform_params[3]) < 1e-12  # d = 0 flags separability
 
 
+def test_normal_form_pure_products_are_x_pattern():
+    """Random complex pure products reduce to the X pattern (1, 1, 1, 0)."""
+    rng = np.random.default_rng(59)
+    e = np.array([1.0, 0.0, 0.0, 1.0])
+    for _ in range(300):
+        a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in "ab")
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        m = states.to_mueller(states.TwoQubitState(np.outer(v, v.conj())))
+        nf = filtering.normal_form(m)
+        assert nf.kind == "XForm"
+        assert nf.xform_params == (1.0, 1.0, 1.0, 0.0)
+        assert np.abs(nf.sigma - np.outer(e, e)).max() == 0
+        assert_lorentz(nf.l1.l)
+        assert_lorentz(nf.l2.l)
+        assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+
+
+def test_normal_form_properties_rank_1_to_4():
+    """Every Diagonal result is a valid decomposition whose filters work."""
+    rng = np.random.default_rng(61)
+    for k in range(400):
+        st = states.TwoQubitState(random_density_matrix(rng, rank=k % 4 + 1))
+        m = states.to_mueller(st)
+        nf = filtering.normal_form(m)
+        assert nf.kind == "Diagonal", k
+        assert_lorentz(nf.l1.l)
+        assert_lorentz(nf.l2.l)
+        assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+        sig = np.diag(nf.sigma)
+        assert np.abs(nf.sigma - np.diag(sig)).max() == 0
+        # magnitudes descending (ties in any order), only the last signed
+        assert sig[0] > 0 and sig[1] >= 0 and sig[2] >= 0
+        assert np.diff(np.abs(sig[1:])).max() < 1e-12
+        out, p = filtering.apply_filters(st, filtering.optimal_filters(st))
+        mo = states.to_mueller(out).m
+        assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) < 1e-9
+        assert 0.0 < p <= 1.0
+        assert (filtering.concurrence(out)
+                >= filtering.concurrence(st) - 1e-9), k
+
+
 # ---------------------------------------------------------------------------
 # optimal filtering
 

@@ -15,6 +15,17 @@ RHO_X = np.array([[0.375, 0, 0, 0.375],
                   [0.375, 0, 0, 0.375]], dtype=complex)
 
 
+def trace_probs(st, alice_ops, bob_ops):
+    # reference: Tr[rho (A x B)] over the operator pairs, Alice's outer
+    return np.array([np.trace(st.rho @ np.kron(A, B)).real
+                     for A in alice_ops for B in bob_ops])
+
+
+def spin_projectors(v):
+    sv = sum(x * p for x, p in zip(v, states.PAULI[1:]))
+    return [(np.eye(2) + sv) / 2, (np.eye(2) - sv) / 2]
+
+
 # ---------------------------------------------------------------------------
 # Born sampling distribution
 
@@ -45,6 +56,8 @@ def test_born_reproduces_mueller_moments():
         # marginals see only the local Bloch vectors
         assert abs((p[0] + p[1]) - (1 + a @ m[1:, 0]) / 2) < 1e-12
         assert abs((p[0] + p[2]) - (1 + b @ m[0, 1:]) / 2) < 1e-12
+        ref = trace_probs(st, spin_projectors(a), spin_projectors(b))
+        assert np.abs(p - ref).max() < 1e-12
 
 
 def test_born_rejects_non_unit_direction():
@@ -63,6 +76,10 @@ def test_filter_povm_probabilities_normalized():
         p = protocol_sim._filter_povm_probs(st, pair)
         assert p.min() >= 0.0
         assert abs(p.sum() - 1.0) < 1e-10
+        ea = pair.m1.conj().T @ pair.m1
+        eb = pair.n1.conj().T @ pair.n1
+        ref = trace_probs(st, [ea, np.eye(2) - ea], [eb, np.eye(2) - eb])
+        assert np.abs(p - ref).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
