@@ -14,9 +14,14 @@ the time-like eigenvector of W = M G M^T G for its top eigenvalue
 sigma0^2 (the most time-like unit vector of that eigenspace when it is
 degenerate), L2 e0 is M^T G u normalised, the pure boosts taking both to
 e0 leave sigma0 (+) T, and a proper SVD of the 3x3 block T gives the
-rotations. Where u or L2 e0 does not exist the state has the X pattern,
-and a separate reduction finds its (a, b, c, d); pure product states are
-the X pattern (1, 1, 1, 0) outright.
+rotations. Where u or L2 e0 does not exist, or the boosts leave M not
+whitened, the state has the X pattern. Its form comes from the null
+eigenvector n_A = L1 e- of W (e+- = (1, 0, 0, +-1)) and n_B = L2 e+ along
+M^T G n_A: rotations taking -z to n_A and z to n_B, a rotation about z on
+Bob's side and one null rotation on each side fixing e- and e+ turn M
+into the pattern. That is one fixed member of the family of X forms: no
+boost along either null direction, Bob carries the rotation about z, and
+d <= 0. Pure product states are the X pattern (1, 1, 1, 0) outright.
 
 Entanglement measures (Wootters concurrence, entanglement of formation)
 live here too since the filtering analysis is what consumes them.
@@ -233,27 +238,12 @@ def _lorentz_inverse(L: np.ndarray) -> np.ndarray:
 # 1e-7 is the bound the Diagonal route has always used.
 _EIG_RTOL = 1e-7
 
-
-def _polish(L: np.ndarray) -> np.ndarray:
-    # Newton step toward exact G-orthogonality; quadratic convergence
-    for _ in range(2):
-        L = L - 0.5 * (L @ _G @ L.T @ _G - _I4) @ L
-    return L
-
-
-def _complete_column(cols: list) -> np.ndarray:
-    # G-orthogonal unit space-like completion of the given columns
-    for seed in np.eye(4)[::-1]:
-        w = seed.copy()
-        for c in cols:
-            if c is None:
-                continue
-            w = w - (w @ _G @ c) / (c @ _G @ c) * c
-        n = float(w @ _G @ w)
-        if n < -1e-8:
-            return w / np.sqrt(-n)
-    raise RuntimeError("normal-form reduction failed: cannot complete a "
-                       "Lorentz basis")
+# The boosts that whiten a Diagonal M leave its first row and column zero to
+# round-off: at most 2.1e-7 of Mw[0, 0] on near-X states, below 4e-11 on the
+# 200x200 Gisin grid and on random states of rank 1 to 4. On X states u and
+# v are not l1 e0 and l2 e0, and it is at least 1.7e-3 (locally filtered
+# X states of rank 2 and 3).
+_WHITEN_RTOL = 1e-4
 
 
 def _boost(u: np.ndarray) -> np.ndarray:
@@ -275,7 +265,8 @@ def _diagonal_form(M: np.ndarray):
 
     The construction is the module docstring's: u = l1 e0 from the top
     eigenspace of W, v = l2 e0 = M^T G u normalised, whitening boosts, and
-    a proper SVD. None means u or v does not exist: M has the X pattern.
+    a proper SVD. None means u or v does not exist, or the boosts do not
+    whiten M: M has the X pattern.
     """
     W = M @ _G @ M.T @ _G
     evals, evecs = np.linalg.eig(W)
@@ -302,6 +293,9 @@ def _diagonal_form(M: np.ndarray):
     v = v / np.sqrt(nv)
     # _boost(G u) is the inverse of _boost(u); boosts are symmetric
     Mw = _boost(_G @ u) @ M @ _boost(_G @ v)
+    off = max(np.abs(Mw[0, 1:]).max(), np.abs(Mw[1:, 0]).max())
+    if off > _WHITEN_RTOL * Mw[0, 0]:
+        return None  # not whitened: M has the X pattern
     R1, s, R2t = np.linalg.svd(Mw[1:, 1:])
     R2 = R2t.T
     # singular values equal to _EIG_RTOL sigma0 in the order of the axes
@@ -318,149 +312,83 @@ def _diagonal_form(M: np.ndarray):
 
 
 def _rotation_to(r: np.ndarray) -> LorentzTransform:
-    # rotation taking z to the unit vector r: the unitary whose first column
-    # is the pure state with Bloch vector r, through the double cover
+    # rotation taking z to the direction of r (a fixed one for r = 0): the
+    # unitary whose first column is the pure state with Bloch vector along
+    # r, through the double cover
     rho = np.array([[1.0 + r[2], r[0] - 1j * r[1]],
                     [r[0] + 1j * r[1], 1.0 - r[2]]])
     a, b = np.linalg.eigh(rho)[1][:, 1]
     return filter_to_lorentz([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
-def _parity_flip_sets(det_negative: bool):
-    # spatial-column subsets whose flip count has the parity fixing det to +1
-    if det_negative:
-        return [{1}, {2}, {3}, {1, 2, 3}]
-    return [set(), {1, 2}, {1, 3}, {2, 3}]
+# Rank-2 X states have d^2 = (a + c)(a - b) exactly, which makes the system
+# for the null rotations in _x_form singular: rounding leaves its smallest
+# singular value at most 1e-13 of the largest (4,000 locally filtered rank-2
+# X states). Rank-3 X states, d^2 < (a + c)(a - b), gave 2.8e-5 and above.
+_X_RCOND = 1e-10
+
+# light-cone basis: columns e+ = (1, 0, 0, 1), x, y, e- = (1, 0, 0, -1)
+_LC = np.array([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]])
+_LC_INV = np.linalg.inv(_LC)
+_E_PLUS, _E_MINUS = _LC[:, 0], _LC[:, 3]
 
 
-def _x_reduction(M: np.ndarray):
-    """Reduce to the X pattern [[a,0,0,b],[0,d,0,0],[0,0,-d,0],[c,0,0,a+c-b]].
+def _null_rotation(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # Lorentz map fixing the null vector k (e+ or e-) and taking x, y to
+    # x + a[0] k, y + a[1] k; G k is the other null vector of the basis
+    a = np.array([0.0, a[0], a[1], 0.0])
+    return _I4 + np.outer(a + 0.5 * (a @ a) * k, _G @ k) + np.outer(k, a)
 
-    After the geometric reduction, a sign-flip search over spatial columns
-    of L1 and L2 (restricted to det = +1 parities) lands the reduced matrix
-    on the exact pattern branch; one of the four (row3, col3) flip classes
-    always matches because the degeneracy condition factors into the four
-    corresponding sign branches.
+
+def _x_form(M: np.ndarray):
+    """l1, l2, sigma with M = l1 sigma l2^T and sigma X-patterned.
+
+    For sigma = [[a,0,0,b],[0,d,0,0],[0,0,-d,0],[c,0,0,a+c-b]], e- is the
+    null eigenvector of sigma G sigma^T G and sigma^T G e- = (a + c) e+, so
+    n_A = l1 e- is the null eigenvector of W = M G M^T G and M^T G n_A is
+    along n_B = l2 e+. Rotations R_A (-z to n_A) and R_B (z to n_B) leave
+    K = R_A^T M G R_B, in the light-cone basis, with corners p = a + c and
+    r = a - b and an x-y block |d| times a reflection. A rotation about z
+    on Bob's side makes that block diag(-d, d), d <= 0, and the null
+    rotations N_A(al) fixing e- and N_B(be) fixing e+ clear K's x, y
+    entries g (last column) and h (last row): per axis
+    [[2p, -2 d_i], [d_i, -r]] (al_i, be_i) = (g_i, h_i), solved least
+    squares with minimum norm. l1 = R_A N_A, l2 = R_B R_z N_B: no boost
+    along either null direction. When a + c = 0, M^T G n_A vanishes, and
+    N_B clears h whatever R_B is.
     """
-    W = M @ _G @ M.T @ _G
-    evals, evecs = np.linalg.eig(W)
-    # middle pair: the two most space-like directions available, G-orthogonal
-    cand = []
-    for i in range(4):
-        v = evecs[:, i]
-        v = v.real if np.abs(v.real).max() >= np.abs(v.imag).max() else v.imag
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            continue
-        v = v / nv
-        cand.append((float(v @ _G @ v), v))
-    cand.sort(key=lambda t: t[0])
-    mids: list[np.ndarray] = []
-    for n, v in cand:
-        if n < -1e-6 and all(abs(v @ _G @ m) < 1e-6 for m in mids):
-            mids.append(v)
-        if len(mids) == 2:
-            break
-    if len(mids) < 2:
-        raise RuntimeError(
-            "normal-form reduction failed: no space-like eigenvector pair")
-    m1 = mids[0] / np.sqrt(-(mids[0] @ _G @ mids[0]))
-    m2 = mids[1] - (mids[1] @ _G @ m1) / (m1 @ _G @ m1) * m1
-    m2 = m2 / np.sqrt(-(m2 @ _G @ m2))
-
-    # invariant (t, z)-like plane = G-orthogonal complement of the pair
-    P = _I4 + np.outer(m1, m1 @ _G) + np.outer(m2, m2 @ _G)
-    basis: list[np.ndarray] = []
-    for seed in np.eye(4):
-        w = P @ seed
-        for b in basis:
-            w = w - (w @ b) * b
-        if np.linalg.norm(w) > 1e-8:
-            basis.append(w / np.linalg.norm(w))
-        if len(basis) == 2:
-            break
-    B = np.column_stack(basis)
-    ww, Q = np.linalg.eigh(B.T @ _G @ B)
-    if ww[0] > -1e-12 or ww[1] < 1e-12:
-        raise RuntimeError("normal-form reduction failed: degenerate plane")
-    u_s = B @ Q[:, 0] / np.sqrt(-ww[0])
-    u_t = B @ Q[:, 1] / np.sqrt(ww[1])
-    if u_t[0] < 0:
-        u_t = -u_t
-    L1 = _polish(np.column_stack([u_t, m1, m2, u_s]))
-
-    N = _G @ L1.T @ _G @ M
-    cols: list = [None, None, None, None]
-    d1 = float(-(N[1] @ _G @ N[1]))
-    d2 = float(-(N[2] @ _G @ N[2]))
-    if d1 > 1e-18:
-        cols[1] = N[1] / np.sqrt(d1)
-    if d2 > 1e-18:
-        cols[2] = N[2] / np.sqrt(d2)
-    # corner columns from the rows spanning the plane
-    n0, n3 = N[0], N[3]
-    Sp = np.array([[n0 @ _G @ n0, n0 @ _G @ n3],
-                   [n3 @ _G @ n0, n3 @ _G @ n3]])
-    ww2, Q2 = np.linalg.eigh(Sp)
-    if ww2[1] <= 1e-12:
-        # rows 0 and 3 light-like and parallel (pure product marginals);
-        # null frame with c0 + c3 along the light direction fits the pattern
-        ell = n0 if np.linalg.norm(n0) >= np.linalg.norm(n3) else n3
-        if (abs(float(ell @ _G @ ell)) > 1e-8 * float(ell @ ell)
-                or ell[0] <= 1e-12):
-            raise RuntimeError(
-                "normal-form reduction failed: no time-like row mix")
-        ell = ell / ell[0]
-        cols[0] = np.array([1.0, 0.0, 0.0, 0.0])
-        cols[3] = ell - cols[0]
-    else:
-        c_t = (Q2[0, 1] * n0 + Q2[1, 1] * n3) / np.sqrt(ww2[1])
-        if c_t[0] < 0:
-            c_t = -c_t
-        cols[0] = c_t
-        if ww2[0] < -1e-12:
-            cols[3] = (Q2[0, 0] * n0 + Q2[1, 0] * n3) / np.sqrt(-ww2[0])
-    for i in (1, 2, 3):
-        if cols[i] is None:
-            cols[i] = _complete_column(cols)
-    L2 = _polish(np.column_stack(cols))
-
-    Sigma = _G @ L1.T @ _G @ M @ _G @ L2 @ _G
-    best = None
-    for Fr in _parity_flip_sets(np.linalg.det(L1) < 0):
-        rs = np.array([1.0] + [-1.0 if i in Fr else 1.0 for i in (1, 2, 3)])
-        for Fc in _parity_flip_sets(np.linalg.det(L2) < 0):
-            cs = np.array([1.0] + [-1.0 if j in Fc else 1.0 for j in (1, 2, 3)])
-            Sf = Sigma * np.outer(rs, cs)
-            resid = (abs(Sf[1, 1] + Sf[2, 2])
-                     + abs(Sf[3, 3] - (Sf[0, 0] + Sf[3, 0] - Sf[0, 3])))
-            if best is None or resid < best[0]:
-                best = (resid, rs, cs, Sf)
-    resid, rs, cs, Sigma = best
-    L1 = L1 * rs[None, :]
-    L2 = L2 * cs[None, :]
-
-    params = (float(Sigma[0, 0]) + 0.0, float(Sigma[0, 3]) + 0.0,
-              float(Sigma[3, 0]) + 0.0, float(Sigma[1, 1]) + 0.0)
-    a, b, c, d = params
-    pattern = np.array([[a, 0, 0, b], [0, d, 0, 0], [0, 0, -d, 0],
-                        [c, 0, 0, a + c - b]])
-    if np.abs(Sigma - pattern).max() > 1e-6:
-        raise RuntimeError(
-            "normal-form reduction failed: reduced matrix does not fit the "
-            f"X pattern (residual {np.abs(Sigma - pattern).max():.3e})")
-    if np.abs(L1 @ Sigma @ L2.T - M).max() > 1e-8:
-        raise RuntimeError("normal-form reduction failed: reconstruction error")
-    return L1, L2, Sigma, params
+    # Rounding splits the Jordan block of n_A into eigenvectors
+    # n_A +- sqrt(eps) t, or a complex pair with real part n_A: the two
+    # most time-like real eigenvectors, summed with a common sign, cancel
+    # the sqrt(eps) term.
+    V = np.linalg.eig(M @ _G @ M.T @ _G)[1].real
+    V = V / np.linalg.norm(V, axis=0)
+    i, j = np.argsort(np.sum(V * (_G @ V), axis=0))[-2:]
+    n = V[:, j] + np.copysign(1.0, V[:, i] @ V[:, j]) * V[:, i]
+    RA = _rotation_to(-n[1:] if n[0] >= 0 else n[1:]).l
+    RB = _rotation_to((M.T @ _G @ RA @ _E_MINUS)[1:]).l
+    K = _LC_INV @ RA.T @ M @ _G @ RB @ _LC
+    phi = np.arctan2(K[1, 2] + K[2, 1], K[1, 1] - K[2, 2])
+    Rz = _spatial([[np.cos(phi), -np.sin(phi), 0.0],
+                   [np.sin(phi), np.cos(phi), 0.0], [0.0, 0.0, 1.0]])
+    K = K @ Rz
+    p, r, dl = K[0, 3], K[3, 0], np.diag(K)[1:3]
+    A = np.block([[2.0 * p * np.eye(2), -2.0 * np.diag(dl)],
+                  [np.diag(dl), -r * np.eye(2)]])
+    x = np.linalg.lstsq(A, np.concatenate([K[1:3, 3], K[3, 1:3]]),
+                        rcond=_X_RCOND)[0]
+    L1 = RA @ _null_rotation(x[:2], _E_MINUS)
+    L2 = RB @ Rz @ _null_rotation(x[2:], _E_PLUS)
+    return L1, L2, _G @ L1.T @ _G @ M @ _G @ L2 @ _G
 
 
 def normal_form(m: MuellerMatrix) -> NormalForm:
     """Decompose m = l1 . sigma . l2^T under proper orthochronous transforms.
 
-    Almost every state yields kind=Diagonal. States whose MGM^TG has no
-    time-like eigenvector for its top eigenvalue (a measure-zero set, pure
-    product states among them) yield kind=XForm with the (a, b, c, d)
-    pattern parameters. The maximally mixed state is rejected.
+    Almost every state yields kind=Diagonal. States that no pair of boosts
+    whitens (a measure-zero set, pure product states among them) yield
+    kind=XForm with the (a, b, c, d) pattern parameters of the fixed member
+    the module docstring names. The maximally mixed state is rejected.
     """
     M = np.asarray(m.m, dtype=float)
     if np.abs(M - np.diag([1.0, 0.0, 0.0, 0.0])).max() < 1e-12:
@@ -473,16 +401,18 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
             and np.sum(M * M) > 4.0 - 1e-12):
         # pure product state: M = (1, r)(1, s)^T with unit r and s, which is
         # the X pattern (1, 1, 1, 0) turned by the rotations taking z to r, s
-        e = np.array([1.0, 0.0, 0.0, 1.0])
         return NormalForm(kind=XFORM, l1=_rotation_to(M[1:, 0]),
-                          l2=_rotation_to(M[0, 1:]), sigma=np.outer(e, e),
+                          l2=_rotation_to(M[0, 1:]),
+                          sigma=np.outer(_E_PLUS, _E_PLUS),
                           xform_params=(1.0, 1.0, 1.0, 0.0))
     diag = _diagonal_form(M)
     if diag is not None:
         L1, L2, Sigma = diag
         return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L1),
                           l2=LorentzTransform(L2), sigma=Sigma)
-    L1, L2, Sigma, params = _x_reduction(M)
+    L1, L2, Sigma = _x_form(M)
+    params = tuple(float(Sigma[i, j]) + 0.0
+                   for i, j in ((0, 0), (0, 3), (3, 0), (1, 1)))
     return NormalForm(kind=XFORM, l1=LorentzTransform(L1),
                       l2=LorentzTransform(L2), sigma=Sigma,
                       xform_params=params)
@@ -531,15 +461,18 @@ def concurrence(state: TwoQubitState) -> float:
     The mu_i are the descending square roots of the eigenvalues of
     rho.rho~ with rho~ = (sy x sy) rho* (sy x sy); computed through the
     Hermitian product sqrt(rho) rho~ sqrt(rho) for accuracy near
-    degeneracies.
+    degeneracies. Eigenvalues below 1e-12 of the largest are round-off of
+    zeros (rank-deficient states): their square roots, about 1e-8 of the
+    largest mu, would be subtracted from C, so they are set to zero.
     """
     rho = state.rho
     rho_t = _YY @ rho.conj() @ _YY
     w, U = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     sq = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
     herm = sq @ rho_t @ sq
-    mu = np.sqrt(np.clip(np.linalg.eigvalsh((herm + herm.conj().T) / 2.0),
-                         0.0, None))[::-1]
+    ev = np.linalg.eigvalsh((herm + herm.conj().T) / 2.0)
+    ev[ev < 1e-12 * ev[-1]] = 0.0
+    mu = np.sqrt(ev)[::-1]
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def pytest_configure(config):
@@ -41,3 +42,40 @@ def random_filter(rng: np.random.Generator, min_det: float = 0.1) -> np.ndarray:
         f = f / np.linalg.norm(f, 2)
         if abs(np.linalg.det(f)) > min_det:
             return f
+
+
+def filtered(rho: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # (f x g) rho (f x g)^dag, renormalised
+    k = np.kron(f, g)
+    out = k @ rho @ k.conj().T
+    return out / np.trace(out).real
+
+
+def x_mixture(lam: float, slot: int) -> np.ndarray:
+    """lam |Phi+><Phi+| + (1 - lam)|01><01| (slot 1) or |10><10| (slot 2).
+
+    Rank-2 states whose normal form is the X pattern, with or without a
+    local filter on top.
+    """
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.ix_([0, 3], [0, 3])] = lam / 2.0
+    rho[slot, slot] = 1.0 - lam
+    return rho
+
+
+def _su2(q) -> np.ndarray:
+    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+@st.composite
+def sl2c_filters(draw) -> np.ndarray:
+    """A local filter in SL(2,C): U diag(e^t, e^-t) V with U, V in SU(2).
+
+    t <= 1 keeps the ratio of its singular values at most e^2, so at unit
+    norm |det| >= 0.135, the range of random_filter's default.
+    """
+    quat = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: np.linalg.norm(q) > 0.1)
+    t = draw(st.floats(0.0, 1.0))
+    return _su2(draw(quat)) @ np.diag([np.exp(t), np.exp(-t)]) @ _su2(draw(quat))

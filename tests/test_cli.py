@@ -9,6 +9,8 @@ import pytest
 
 from bellqkd import cli
 
+from conftest import filtered, random_filter, x_mixture
+
 RHO_X_ROWS = [[0.375, 0, 0, 0.375],
               [0, 0.25, 0, 0],
               [0, 0, 0, 0],
@@ -21,7 +23,8 @@ def schema(name):
 
 
 def matrix_doc(rows):
-    return {"matrix": [[[float(x), 0.0] for x in row] for row in rows]}
+    return {"matrix": [[[float(np.real(x)), float(np.imag(x))] for x in row]
+                       for row in rows]}
 
 
 def write(tmp_path, name, doc):
@@ -158,10 +161,11 @@ def test_filter_xform(capsys, tmp_path):
     jsonschema.validate(doc, schema("filter_report.schema.json"))
     assert doc["kind"] == "XForm"
     p = doc["xform_params"]
-    assert abs(p["a"] - 0.981213464) < 1e-9
-    assert abs(p["b"] - 0.158996422) < 1e-9
-    assert abs(p["c"] + 0.297087532) < 1e-9
-    assert p["d"] == -0.75
+    assert abs(p["a"] - 1.0) < 1e-9
+    assert abs(p["b"] - 0.25) < 1e-9
+    assert abs(p["c"] + 0.25) < 1e-9
+    assert abs(p["d"] + 0.75) < 1e-9
+    assert abs((p["a"] + p["c"]) * (p["a"] - p["b"]) - 0.5625) < 1e-9
     assert doc["separable"] is False
 
 
@@ -171,14 +175,31 @@ def test_filter_pure_products_exit_2(capsys, tmp_path):
     for i in range(300):
         a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in "ab")
         v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        rho = np.outer(v, v.conj())
-        path = write(tmp_path, f"prod{i}.json", {"matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in rho]})
+        path = write(tmp_path, f"prod{i}.json",
+                     matrix_doc(np.outer(v, v.conj())))
         code, out, _ = run(capsys, ["filter", path])
         assert code == 2, i
         doc = json.loads(out)
         assert doc["separable"] is True
         assert doc["xform_params"] == {"a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}
+        code, _, err = run(capsys, ["simulate", path, "--rounds", "100",
+                                    "--with-filtering"])
+        assert code == 2 and err.startswith("error: "), i
+
+
+def test_filter_locally_filtered_x_states_exit_2(capsys, tmp_path):
+    """Local filters keep a state X-patterned: exit 2, never a traceback."""
+    rng = np.random.default_rng(73)
+    for i in range(20):
+        rho = filtered(x_mixture(rng.uniform(0.05, 0.95), 1 + i % 2),
+                       random_filter(rng, 0.05), random_filter(rng, 0.05))
+        path = write(tmp_path, f"x{i}.json", matrix_doc(rho))
+        code, out, _ = run(capsys, ["filter", path])
+        assert code == 2, i
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema("filter_report.schema.json"))
+        assert doc["kind"] == "XForm"
+        assert doc["separable"] is False
         code, _, err = run(capsys, ["simulate", path, "--rounds", "100",
                                     "--with-filtering"])
         assert code == 2 and err.startswith("error: "), i

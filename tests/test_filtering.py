@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bellqkd import filtering, metrics, states
 
-from conftest import random_density_matrix, random_filter
+from conftest import (filtered, random_density_matrix, random_filter,
+                      sl2c_filters, x_mixture)
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -21,6 +24,15 @@ def assert_lorentz(L, tol=1e-9):
     assert np.abs(L @ G @ L.T - G).max() < tol
     assert abs(np.linalg.det(L) - 1.0) < tol
     assert L[0, 0] >= 1.0 - tol
+
+
+def assert_filters_work(st):
+    # whitened marginals, a probability, and no loss of concurrence
+    out, p = filtering.apply_filters(st, filtering.optimal_filters(st))
+    mo = states.to_mueller(out).m
+    assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) < 1e-9
+    assert 0.0 < p <= 1.0
+    assert filtering.concurrence(out) >= filtering.concurrence(st) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +159,23 @@ def test_normal_form_maximally_mixed_rejected():
 
 
 def test_normal_form_x_pattern():
+    """RHO_X's own Mueller matrix, turned by pi on each side, is the form.
+
+    A boost along z on each side keeps the X pattern, so (a, b, c) are one
+    member of a family; the construction fixes the member with no boost
+    along either null direction. Every member shares d and d^2 = (a+c)(a-b).
+    """
     m = states.to_mueller(states.TwoQubitState(RHO_X))
     nf = filtering.normal_form(m)
     assert nf.kind == "XForm"
     a, b, c, d = nf.xform_params
-    assert abs(a - 0.9812134641672494) < 1e-9
-    assert abs(b - 0.15899642217073526) < 1e-9
-    assert abs(c - (-0.29708753236445873)) < 1e-9
+    assert abs(a - 1.0) < 1e-9
+    assert abs(b - 0.25) < 1e-9
+    assert abs(c - (-0.25)) < 1e-9
     assert abs(d - (-0.75)) < 1e-9
+    assert abs((a + c) * (a - b) - 0.5625) < 1e-9
+    assert np.abs(nf.l1.l - np.diag([1.0, -1.0, 1.0, -1.0])).max() < 1e-9
+    assert np.abs(nf.l2.l - np.diag([1.0, 1.0, -1.0, -1.0])).max() < 1e-9
     S = nf.sigma
     pattern = np.array([[a, 0, 0, b],
                         [0, d, 0, 0],
@@ -191,6 +212,26 @@ def test_normal_form_pure_products_are_x_pattern():
         assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
 
 
+def test_normal_form_pure_times_mixed_products_are_x_pattern():
+    """A pure marginal stays pure under filtering: separable X forms."""
+    rng = np.random.default_rng(79)
+    for k in range(300):
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        pure = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+        mixed = x @ x.conj().T / np.trace(x @ x.conj().T).real
+        rho = np.kron(pure, mixed) if k % 2 else np.kron(mixed, pure)
+        m = states.to_mueller(states.TwoQubitState(rho))
+        nf = filtering.normal_form(m)
+        assert nf.kind == "XForm", k
+        a, b, c, d = nf.xform_params
+        assert abs(d) < 1e-9
+        pattern = np.array([[a, 0, 0, b], [0, 0, 0, 0], [0, 0, 0, 0],
+                            [c, 0, 0, a + c - b]])
+        assert np.abs(nf.sigma - pattern).max() < 1e-6, k
+        assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+
+
 def test_normal_form_properties_rank_1_to_4():
     """Every Diagonal result is a valid decomposition whose filters work."""
     rng = np.random.default_rng(61)
@@ -207,12 +248,61 @@ def test_normal_form_properties_rank_1_to_4():
         # magnitudes descending (ties in any order), only the last signed
         assert sig[0] > 0 and sig[1] >= 0 and sig[2] >= 0
         assert np.diff(np.abs(sig[1:])).max() < 1e-12
-        out, p = filtering.apply_filters(st, filtering.optimal_filters(st))
-        mo = states.to_mueller(out).m
-        assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) < 1e-9
-        assert 0.0 < p <= 1.0
-        assert (filtering.concurrence(out)
-                >= filtering.concurrence(st) - 1e-9), k
+        assert_filters_work(st)
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+# Werner p below 1e-12 is the maximally mixed state to normal_form, which
+# rejects it; near the pure-product corner of the Gisin family, filters
+# stronger than these leave marginals above 1e-9 (CHANGES.md, FOUND).
+@_PROPERTY
+@given(p=hst.floats(1e-9, 1.0), f=sl2c_filters(), g=sl2c_filters())
+def test_filtered_werner_is_diagonal(p, f, g):
+    rho = states.make_family(states.FamilySpec(variant="werner", p=p)).rho
+    st = states.TwoQubitState(filtered(rho, f, g))
+    assert filtering.normal_form(states.to_mueller(st)).kind == "Diagonal"
+    assert_filters_work(st)
+
+
+@_PROPERTY
+@given(alpha=hst.floats(0.01, 0.99), mu=hst.floats(0.01, 1.0),
+       f=sl2c_filters(), g=sl2c_filters())
+def test_filtered_gisin_is_diagonal(alpha, mu, f, g):
+    rho = states.make_family(
+        states.FamilySpec(variant="gisin", alpha=alpha, mu=mu)).rho
+    st = states.TwoQubitState(filtered(rho, f, g))
+    assert filtering.normal_form(states.to_mueller(st)).kind == "Diagonal"
+    assert_filters_work(st)
+
+
+@_PROPERTY
+@given(lam=hst.floats(0.05, 0.95), slot=hst.sampled_from([1, 2]),
+       f=sl2c_filters(), g=sl2c_filters())
+def test_filtered_x_mixture_is_xform(lam, slot, f, g):
+    st = states.TwoQubitState(filtered(x_mixture(lam, slot), f, g))
+    assert filtering.normal_form(states.to_mueller(st)).kind == "XForm"
+
+
+def test_normal_form_x_mixtures_filtered_and_not():
+    """Local filtering keeps a state X-patterned; every one reduces to it."""
+    rng = np.random.default_rng(71)
+    for k in range(1000):
+        rho = x_mixture(rng.uniform(0.05, 0.95), 1 + k % 2)
+        pair = (random_filter(rng, 0.05), random_filter(rng, 0.05))
+        for r in (rho, filtered(rho, *pair)):
+            m = states.to_mueller(states.TwoQubitState(r))
+            nf = filtering.normal_form(m)
+            assert nf.kind == "XForm", k
+            assert_lorentz(nf.l1.l)
+            assert_lorentz(nf.l2.l)
+            assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+            a, b, c, d = nf.xform_params
+            pattern = np.array([[a, 0, 0, b], [0, d, 0, 0], [0, 0, -d, 0],
+                                [c, 0, 0, a + c - b]])
+            assert np.abs(nf.sigma - pattern).max() < 1e-6, k
+            assert abs(d * d - (a + c) * (a - b)) <= 1e-9 * d * d, k
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +330,11 @@ def test_optimal_filters_xform_error_carries_params():
     with pytest.raises(filtering.XFormError) as exc:
         filtering.optimal_filters(states.TwoQubitState(RHO_X))
     e = exc.value
-    assert abs(e.a - 0.9812134641672494) < 1e-9
+    assert abs(e.a - 1.0) < 1e-9
+    assert abs(e.b - 0.25) < 1e-9
+    assert abs(e.c - (-0.25)) < 1e-9
     assert abs(e.d - (-0.75)) < 1e-9
+    assert abs((e.a + e.c) * (e.a - e.b) - e.d ** 2) < 1e-9
     assert not e.separable
     assert "separable" not in str(e)
 
@@ -360,6 +453,17 @@ def test_concurrence_known_values():
     w = states.make_family(states.FamilySpec(variant="werner", p=0.8))
     assert abs(filtering.concurrence(w) - 0.7) < 1e-8  # (3p-1)/2
     assert abs(filtering.concurrence(GISIN) - 0.5169115383617229) < 1e-8
+
+
+def test_concurrence_gisin_closed_form():
+    """Full precision on rank-deficient states: C = max(0, 2 mu a b - (1 - mu))."""
+    for alpha in np.linspace(0.01, 0.99, 30):
+        beta = np.sqrt(1.0 - alpha ** 2)
+        for mu in np.linspace(0.01, 1.0, 30):
+            st = states.make_family(
+                states.FamilySpec(variant="gisin", alpha=alpha, mu=mu))
+            expect = max(0.0, 2 * mu * alpha * beta - (1 - mu))
+            assert abs(filtering.concurrence(st) - expect) < 1e-12
 
 
 def test_concurrence_werner_closed_form():
