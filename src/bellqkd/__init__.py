@@ -10,19 +10,20 @@ Monte Carlo of the filter-then-measure protocol.
 from .states import (FamilySpec, InvalidStateError, MuellerMatrix,
                      StateFileError, TwoQubitState, ValidityReport,
                      bell_state, depolarize, from_mueller, from_pauli,
-                     load_state_file, make_family, parse_state_spec,
-                     to_mueller, validate)
+                     gisin_rho, load_state_file, make_family,
+                     parse_state_spec, to_mueller, validate)
 from .metrics import (ChshSettings, CorrelationSpectrum, KeyMetrics, Region,
                       chsh_max, chsh_value, classify, correlation_spectrum,
                       key_rate_symmetric, optimal_chsh_settings, q_crit,
                       q_crit_symmetric, qber)
-from .filtering import (EntanglementReport, FilterOutcome, FilterPair,
-                        LorentzTransform, MetricsSummary, NormalForm,
-                        TrivialNormalFormError, XFormError, apply_filters,
-                        concurrence, entanglement_of_formation,
+from .filtering import (BatchOutcome, EntanglementReport, FilterOutcome,
+                        FilterPair, LorentzTransform, MetricsSummary,
+                        NormalForm, TrivialNormalFormError, XFormError,
+                        apply_filters, concurrence, entanglement_of_formation,
                         entanglement_report, filter_to_lorentz,
-                        filtered_key_rate, lorentz_to_filter, normal_form,
-                        optimal_filters, summarize_metrics)
+                        filtered_key_rate, filtered_key_rate_batch,
+                        lorentz_to_filter, normal_form, optimal_filters,
+                        summarize_metrics)
 from .protocol_sim import (SimConfig, SimReport, born_joint_distribution,
                            run_protocol)
 
@@ -31,16 +32,19 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilySpec", "InvalidStateError", "MuellerMatrix", "StateFileError",
     "TwoQubitState", "ValidityReport", "bell_state", "depolarize",
-    "from_mueller", "from_pauli", "load_state_file", "make_family",
+    "from_mueller", "from_pauli", "gisin_rho", "load_state_file",
+    "make_family",
     "parse_state_spec", "to_mueller", "validate",
     "ChshSettings", "CorrelationSpectrum", "KeyMetrics", "Region",
     "chsh_max", "chsh_value", "classify", "correlation_spectrum",
     "key_rate_symmetric", "optimal_chsh_settings", "q_crit",
     "q_crit_symmetric", "qber",
-    "EntanglementReport", "FilterOutcome", "FilterPair", "LorentzTransform",
+    "BatchOutcome", "EntanglementReport", "FilterOutcome", "FilterPair",
+    "LorentzTransform",
     "MetricsSummary", "NormalForm", "TrivialNormalFormError", "XFormError",
     "apply_filters", "concurrence", "entanglement_of_formation",
     "entanglement_report", "filter_to_lorentz", "filtered_key_rate",
+    "filtered_key_rate_batch",
     "lorentz_to_filter", "normal_form", "optimal_filters",
     "summarize_metrics",
     "SimConfig", "SimReport", "born_joint_distribution", "run_protocol",

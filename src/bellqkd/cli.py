@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -132,7 +133,7 @@ def _cmd_filter(args) -> int:
     st, _ = _validated(args.state_file)
     try:
         out = filtering.filtered_key_rate(st)
-    except filtering.TrivialNormalFormError as e:
+    except ValueError as e:  # the maximally mixed state, unresolved filters
         raise _CliError(EXIT_INVALID_STATE, str(e))
     except filtering.XFormError as e:
         _emit({
@@ -210,45 +211,54 @@ def _csv_cell(x) -> str:
     return f"{float(x):.6g}"
 
 
+# Cells per call of filtered_key_rate_batch, written to the CSV before the
+# next call: a sweep of any size holds one chunk of states and rows.
+_SWEEP_CHUNK = 256
+
+
 def _cmd_sweep(args) -> int:
     alphas = _parse_range(args.alpha, 0.0, 1.0)
     mus = _parse_range(args.mu, 0.0, 1.0)
-    rows = []
+    # mu leaves the family's domain only at 0, which is mus[0]: this meets
+    # the first cell of the grid outside it
     for al in alphas:
-        for mu in mus:
-            try:
-                st = states.make_family(
-                    states.FamilySpec(variant="gisin", alpha=float(al),
-                                      mu=float(mu)))
-            except states.StateFileError as e:
-                raise _CliError(EXIT_USAGE, f"range outside family domain: {e}")
-            spec = metrics.correlation_spectrum(st)
-            lam = spec.lambdas
-            row = {
-                "alpha": float(al),
-                "mu": float(mu),
-                "lam_sq_sum": float(lam[0] ** 2 + lam[1] ** 2),
-                "lam_sum": float(lam[0] + lam[1]),
-                "region": metrics.classify(spec).value,
-            }
-            try:
-                out = filtering.filtered_key_rate(st)
-                la = out.after.spectrum.lambdas
-                row.update(filterable=True, p_succ=out.p_succ,
-                           lam_sq_sum_after=float(la[0] ** 2 + la[1] ** 2),
-                           lam_sum_after=float(la[0] + la[1]),
-                           r_filtered=out.r_filtered)
-            except (filtering.XFormError, filtering.TrivialNormalFormError):
-                row.update(filterable=False, p_succ=None,
-                           lam_sq_sum_after=None, lam_sum_after=None,
-                           r_filtered=0.0)
-            rows.append(row)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in SWEEP_COLUMNS])
+        try:
+            states.FamilySpec(variant="gisin", alpha=float(al),
+                              mu=float(mus[0]))
+        except states.StateFileError as e:
+            raise _CliError(EXIT_USAGE, f"range outside family domain: {e}")
+    al_cells, mu_cells = (g.ravel() for g in
+                          np.meshgrid(alphas, mus, indexing="ij"))
+    try:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SWEEP_COLUMNS)
+            for i in range(0, len(al_cells), _SWEEP_CHUNK):
+                al = al_cells[i:i + _SWEEP_CHUNK]
+                mu = mu_cells[i:i + _SWEEP_CHUNK]
+                out = filtering.filtered_key_rate_batch(
+                    states.gisin_rho(al, mu))
+                writer.writerows(_sweep_rows(al, mu, out))
+    except ValueError as e:  # filters the construction cannot resolve
+        os.remove(args.out)  # no partial CSV
+        raise _CliError(EXIT_INVALID_STATE, str(e))
     return EXIT_OK
+
+
+def _sweep_rows(alphas, mus, out: filtering.BatchOutcome):
+    def sq_sum(lam):  # float_power rounds as the ** of one float does
+        return np.float_power(lam[:, 0], 2) + np.float_power(lam[:, 1], 2)
+
+    lb, la = out.lambdas_before, out.lambdas_after
+    cells = zip(alphas.tolist(), mus.tolist(), sq_sum(lb).tolist(),
+                (lb[:, 0] + lb[:, 1]).tolist(),
+                [r.value for r in out.region_before],
+                out.filterable.tolist(), out.p_succ.tolist(),
+                sq_sum(la).tolist(), (la[:, 0] + la[:, 1]).tolist(),
+                out.r_filtered.tolist())
+    for *before, filterable, p, sq_after, sum_after, r in cells:
+        after = [p, sq_after, sum_after] if filterable else [None] * 3
+        yield [_csv_cell(x) for x in (*before, filterable, *after, r)]
 
 
 def _build_parser() -> _Parser:

@@ -90,14 +90,6 @@ class Region(enum.Enum):
     VIOLATING_USABLE = "ViolatingUsable"
 
 
-def _canonical_dir(v: np.ndarray) -> tuple[np.ndarray, float]:
-    # flip so the first significant component is positive; deterministic output
-    for x in v:
-        if abs(x) > 1e-12:
-            return (v, 1.0) if x > 0 else (-v, -1.0)
-    return v, 1.0
-
-
 def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
     """SVD of the correlation block with a deterministic sign/order convention.
 
@@ -105,20 +97,26 @@ def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
     moves into ``signs``. Near-equal singular values (within 1e-12) are
     ordered by comparing Alice's canonicalized directions lexicographically.
     """
-    T = to_mueller(state).t_block
-    U, s, Vt = np.linalg.svd(T)
-    rows = []
-    for i in range(3):
-        a, fa = _canonical_dir(U[:, i])
-        b, fb = _canonical_dir(Vt[i, :])
-        rows.append((s[i], a, b, fa * fb))
-    rows.sort(key=lambda r: (-round(r[0], 12), tuple(r[1])))
-    return CorrelationSpectrum(
-        lambdas=np.array([r[0] for r in rows]),
-        alice_dirs=np.array([r[1] for r in rows]),
-        bob_dirs=np.array([r[2] for r in rows]),
-        signs=np.array([r[3] for r in rows]),
-    )
+    spectra = _spectra(to_mueller(state).m[None])
+    return CorrelationSpectrum(*(x[0] for x in spectra))
+
+
+def _spectra(M: np.ndarray):
+    # correlation_spectrum over a stack of Mueller matrices: lambdas,
+    # alice_dirs, bob_dirs and signs, each stacked
+    U, s, Vt = np.linalg.svd(M[:, 1:, 1:])
+    # rows 0-2: Alice's directions of s[:, i], rows 3-5 Bob's; each flipped
+    # so that its first component above 1e-12 in size is positive
+    d = np.concatenate([U.swapaxes(-1, -2), Vt], axis=-2)
+    big = np.abs(d) > 1e-12
+    first = big & (big.cumsum(axis=-1) == 1)
+    flip = np.where((d * first).sum(axis=-1) < 0, -1.0, 1.0)
+    d = d * flip[..., None]
+    a = d[:, :3]
+    order = np.lexsort((a[..., 2], a[..., 1], a[..., 0], -np.round(s, 12)))
+    rows = np.arange(len(s))[:, None]
+    return (s[rows, order], a[rows, order], d[:, 3:][rows, order],
+            (flip[:, :3] * flip[:, 3:])[rows, order])
 
 
 def chsh_max(spec: CorrelationSpectrum) -> float:
@@ -162,14 +160,19 @@ def qber(spec: CorrelationSpectrum, num_bases: int) -> float:
     2 bases: (2 - l1 - l2)/4. 3 bases: (3 - l1 - l2 - l3)/6. Output is
     clamped to [0, 1] to absorb round-off at the boundary.
     """
-    l = spec.lambdas
-    if num_bases == 2:
-        q = (2.0 - l[0] - l[1]) / 4.0
-    elif num_bases == 3:
-        q = (3.0 - l[0] - l[1] - l[2]) / 6.0
-    else:
+    if num_bases not in (2, 3):
         raise ValueError(f"num_bases must be 2 or 3, got {num_bases!r}")
-    return float(min(max(q, 0.0), 1.0))
+    return float(_qber(spec.lambdas, num_bases))
+
+
+def _qber(lam: np.ndarray, num_bases: int) -> np.ndarray:
+    # qber of one spectrum lam (3,) or of a stack of them (N, 3)
+    l1, l2, l3 = lam.T
+    if num_bases == 2:
+        q = (2.0 - l1 - l2) / 4.0
+    else:
+        q = (3.0 - l1 - l2 - l3) / 6.0
+    return np.minimum(np.maximum(q, 0.0), 1.0)
 
 
 def key_rate_symmetric(q: float) -> KeyMetrics:
@@ -181,12 +184,15 @@ def key_rate_symmetric(q: float) -> KeyMetrics:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q out of range: {q!r}")
-    r_min = 1.0
-    if q > 0.0:
-        r_min += 2.0 * q * np.log2(q)
-    if q < 1.0:
-        r_min += 2.0 * (1.0 - q) * np.log2(1.0 - q)
-    return KeyMetrics(q=float(q), r_min=float(r_min), distillable=bool(r_min > 0))
+    r_min = float(_r_min(np.float64(q)))
+    return KeyMetrics(q=float(q), r_min=r_min, distillable=bool(r_min > 0))
+
+
+def _r_min(q: np.ndarray) -> np.ndarray:
+    # key_rate_symmetric's r_min over an array of q in [0, 1]; a term whose
+    # factor is 0 takes log2(1) = 0, as 0 log2(0) = 0
+    r = 1.0 + 2.0 * q * np.log2(q + (q == 0.0))
+    return r + 2.0 * (1.0 - q) * np.log2(1.0 - q + (q == 1.0))
 
 
 def q_crit() -> float:
@@ -209,9 +215,14 @@ def q_crit_symmetric() -> float:
 
 def classify(spec: CorrelationSpectrum) -> Region:
     """Region in the violation/usability plane from the top two singular values."""
-    l1, l2 = spec.lambdas[0], spec.lambdas[1]
-    if l1 * l1 + l2 * l2 <= 1.0:
-        return Region.NONVIOLATING_UNUSABLE
-    if l1 + l2 <= np.sqrt(2.0):
-        return Region.VIOLATING_UNUSABLE
-    return Region.VIOLATING_USABLE
+    return _REGIONS[_region_index(spec.lambdas)]
+
+
+_REGIONS = np.array(list(Region), dtype=object)
+_SQRT2 = np.sqrt(2.0)
+
+
+def _region_index(lam: np.ndarray) -> np.ndarray:
+    # index into _REGIONS of one spectrum lam (3,) or of a stack (N, 3)
+    l1, l2 = lam.T[:2]
+    return ~(l1 * l1 + l2 * l2 <= 1.0) * (1 + ~(l1 + l2 <= _SQRT2))

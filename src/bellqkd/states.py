@@ -35,6 +35,7 @@ __all__ = [
     "make_family",
     "depolarize",
     "bell_state",
+    "gisin_rho",
     "load_state_file",
     "parse_state_spec",
 ]
@@ -169,8 +170,17 @@ def from_pauli(r, s, T) -> TwoQubitState:
     m[1:, 0] = r
     m[0, 1:] = s
     m[1:, 1:] = T
-    rho = np.einsum("ij,ijab->ab", m, _KRON) / 4.0
-    return TwoQubitState(rho)
+    return TwoQubitState(_pauli_rho(m))
+
+
+def _pauli_rho(m: np.ndarray) -> np.ndarray:
+    # rho = (1/4) sum_ij m_ij sigma_i x sigma_j, over a stack of m
+    return np.einsum("...ij,ijab->...ab", m, _KRON) / 4.0
+
+
+def _mueller(rho: np.ndarray) -> np.ndarray:
+    # M_ij = Tr[rho (sigma_i x sigma_j)], over a stack of rho
+    return np.einsum("ijab,...ba->...ij", _KRON, rho).real
 
 
 def validate(state: TwoQubitState) -> ValidityReport:
@@ -199,16 +209,14 @@ def validate(state: TwoQubitState) -> ValidityReport:
 
 def to_mueller(state: TwoQubitState) -> MuellerMatrix:
     """M_ij = Tr[rho (sigma_i x sigma_j)]; imaginary residue is discarded."""
-    m = np.einsum("ijab,ba->ij", _KRON, state.rho).real
-    return MuellerMatrix(m)
+    return MuellerMatrix(_mueller(state.rho))
 
 
 def from_mueller(m: MuellerMatrix) -> TwoQubitState:
     """Inverse of :func:`to_mueller`; requires m[0][0] = 1 (unit trace)."""
     if abs(m.m[0, 0] - 1.0) > 1e-12:
         raise InvalidStateError(f"m[0][0] must be 1, got {m.m[0, 0]!r}")
-    rho = np.einsum("ij,ijab->ab", m.m, _KRON) / 4.0
-    return TwoQubitState(rho)
+    return TwoQubitState(_pauli_rho(m.m))
 
 
 _BELL_KETS = {
@@ -227,12 +235,24 @@ def bell_state(label: str) -> TwoQubitState:
     return TwoQubitState(np.outer(k, k.conj()))
 
 
-def _gisin(alpha: float, mu: float) -> TwoQubitState:
-    # Built strictly from the Pauli expansion. beta from normalization.
-    beta = np.sqrt(1.0 - alpha**2)
-    rz = mu * (alpha**2 - beta**2)
-    T = np.diag([-2.0 * mu * alpha * beta, -2.0 * mu * alpha * beta, 1.0 - 2.0 * mu])
-    return from_pauli([0.0, 0.0, rz], [0.0, 0.0, -rz], T)
+def gisin_rho(alpha, mu) -> np.ndarray:
+    """Density matrices of gisin(alpha, mu), stacked over broadcast arrays.
+
+    Built strictly from the Pauli expansion, beta from normalization. No
+    domain check: :class:`FamilySpec` holds the family's domain.
+    """
+    alpha, mu = np.broadcast_arrays(np.asarray(alpha, dtype=float),
+                                    np.asarray(mu, dtype=float))
+    # float_power rounds squares as Python's ** does (C pow), which differs
+    # from x * x in the last bit for about 1e-3 of inputs
+    beta = np.sqrt(1.0 - np.float_power(alpha, 2))
+    rz = mu * (np.float_power(alpha, 2) - np.float_power(beta, 2))
+    m = np.zeros(alpha.shape + (4, 4))
+    m[..., 0, 0] = 1.0
+    m[..., 3, 0], m[..., 0, 3] = rz, -rz
+    m[..., 1, 1] = m[..., 2, 2] = -2.0 * mu * alpha * beta
+    m[..., 3, 3] = 1.0 - 2.0 * mu
+    return _pauli_rho(m)
 
 
 def make_family(spec: FamilySpec) -> TwoQubitState:
@@ -242,7 +262,7 @@ def make_family(spec: FamilySpec) -> TwoQubitState:
     elif spec.variant == "werner":
         state = depolarize(bell_state("psi-"), spec.p)
     else:
-        state = _gisin(spec.alpha, spec.mu)
+        state = TwoQubitState(gisin_rho(spec.alpha, spec.mu))
     if spec.depolarize_p is not None:
         state = depolarize(state, spec.depolarize_p)
     return state

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from bellqkd import states
+
 
 def pytest_configure(config):
     config._acceptance_results = {}
@@ -49,6 +51,20 @@ def filtered(rho: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     k = np.kron(f, g)
     out = k @ rho @ k.conj().T
     return out / np.trace(out).real
+
+
+def filtered_nearly_product_pure_states(rng: np.random.Generator, n: int):
+    """gisin(alpha, 1), alpha log-uniform in [1e-3, 3e-2], under filters of
+    singular-value ratio up to 20: for some of them the Diagonal
+    construction gives l1, l2 outside the Lorentz bounds."""
+    out = []
+    for _ in range(n):
+        alpha = float(np.exp(rng.uniform(np.log(1e-3), np.log(3e-2))))
+        rho = states.make_family(
+            states.FamilySpec(variant="gisin", alpha=alpha, mu=1.0)).rho
+        out.append(filtered(rho, random_filter(rng, 0.05),
+                            random_filter(rng, 0.05)))
+    return out
 
 
 def x_mixture(lam: float, slot: int) -> np.ndarray:

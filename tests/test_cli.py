@@ -2,14 +2,18 @@ import csv
 import importlib.resources
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from bellqkd import cli
+from bellqkd import cli, filtering
 
-from conftest import filtered, random_filter, x_mixture
+from conftest import (filtered, filtered_nearly_product_pure_states,
+                      random_filter, x_mixture)
 
 RHO_X_ROWS = [[0.375, 0, 0, 0.375],
               [0, 0.25, 0, 0],
@@ -205,6 +209,20 @@ def test_filter_locally_filtered_x_states_exit_2(capsys, tmp_path):
         assert code == 2 and err.startswith("error: "), i
 
 
+def test_filter_filtered_nearly_product_pure_states_exit_in_contract(
+        capsys, tmp_path):
+    """Filters the construction cannot resolve exit 1, never a traceback."""
+    rhos = filtered_nearly_product_pure_states(np.random.default_rng(3), 10)
+    codes = []
+    for i, rho in enumerate(rhos):
+        path = write(tmp_path, f"s{i}.json", matrix_doc(rho))
+        code, out, err = run(capsys, ["filter", path])
+        codes.append(code)
+        if code == 1:
+            assert out == "" and err.startswith("error: not proper"), i
+    assert set(codes) <= {0, 1, 2} and 1 in codes
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -335,3 +353,49 @@ def test_sweep_out_of_domain(capsys, tmp_path):
                                 "--alpha", "0:1:5", "--mu", "0.5:0.9:3",
                                 "--out", str(tmp_path / "x.csv")])
     assert code == 64
+
+
+def test_sweep_chunks_do_not_show(capsys, tmp_path):
+    """391 cells, no multiple of the chunk size, equal 23 one-alpha sweeps."""
+    assert 391 % cli._SWEEP_CHUNK
+    grid = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, ["sweep", "--family", "gisin",
+                              "--alpha", "0.01:0.99:23",
+                              "--mu", "0.05:1.0:17", "--out", str(grid)])
+    assert code == 0
+    rows = []
+    for al in map(repr, np.linspace(0.01, 0.99, 23).tolist()):
+        one = tmp_path / "one.csv"
+        code, _, _ = run(capsys, ["sweep", "--family", "gisin",
+                                  "--alpha", f"{al}:{al}:1",
+                                  "--mu", "0.05:1.0:17", "--out", str(one)])
+        assert code == 0
+        header, *body = one.read_text().splitlines(keepends=True)
+        rows += body
+    assert grid.read_text() == header + "".join(rows)
+
+
+def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
+    """A cell whose one-state path raises ValueError ends the sweep with
+    exit 1, a message and no CSV. alpha = 1/sqrt(2) makes a Bell-diagonal
+    cell, which takes that path."""
+    def unresolved(state):
+        raise ValueError("not proper orthochronous (stand-in)")
+
+    monkeypatch.setattr(filtering, "filtered_key_rate", unresolved)
+    al = repr(2 ** -0.5)
+    out_path = tmp_path / "x.csv"
+    code, _, err = run(capsys, ["sweep", "--family", "gisin",
+                                "--alpha", f"{al}:{al}:1", "--mu", "0.5:0.5:1",
+                                "--out", str(out_path)])
+    assert code == 1
+    assert err == "error: not proper orthochronous (stand-in)\n"
+    assert not out_path.exists()
+
+
+def test_python_m_bellqkd_help():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "bellqkd", "--help"],
+                          cwd=src, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: bellqkd" in proc.stdout

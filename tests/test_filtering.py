@@ -5,8 +5,9 @@ from hypothesis import strategies as hst
 
 from bellqkd import filtering, metrics, states
 
-from conftest import (filtered, random_density_matrix, random_filter,
-                      sl2c_filters, x_mixture)
+from conftest import (filtered, filtered_nearly_product_pure_states,
+                      random_density_matrix, random_filter, sl2c_filters,
+                      x_mixture)
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -533,3 +534,63 @@ def test_filtered_key_rate_bell_diagonal_identity_path():
 def test_filtered_key_rate_propagates_xform():
     with pytest.raises(filtering.XFormError):
         filtering.filtered_key_rate(states.TwoQubitState(RHO_X))
+
+
+# ---------------------------------------------------------------------------
+# the batch
+
+def test_batch_equals_scalar():
+    """filtered_key_rate_batch agrees with filtered_key_rate state by state.
+
+    The X form and the maximally mixed state are verdicts (not filterable);
+    any other exception of the scalar path is raised by the batch too.
+    """
+    rng = np.random.default_rng(89)
+    grid = [states.make_family(states.FamilySpec(
+        variant="gisin", alpha=float(a), mu=float(m))).rho
+        for a in np.linspace(0.002, 0.998, 50)
+        for m in np.linspace(0.01, 1.0, 50)]
+    randoms = [random_density_matrix(rng, rank=k % 4 + 1) for k in range(200)]
+    x_states = [filtered(x_mixture(rng.uniform(0.05, 0.95), 1 + k % 2),
+                         random_filter(rng, 0.05), random_filter(rng, 0.05))
+                for k in range(20)]
+    products = [np.diag([0.0, 1.0, 0.0, 0.0]),
+                np.kron(np.outer([0.6, 0.8j], [0.6, -0.8j]),
+                        np.outer([1.0, 1.0], [1.0, 1.0]) / 2),
+                np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)]
+    werner = states.make_family(states.FamilySpec(variant="werner", p=0.7))
+    special = [werner.rho, np.eye(4) / 4, *products]
+    rhos = np.array(grid + randoms + x_states + special
+                    + filtered_nearly_product_pure_states(
+                        np.random.default_rng(3), 10))
+    raised, verdicts = {}, {}
+    for i, rho in enumerate(rhos):
+        try:
+            verdicts[i] = filtering.filtered_key_rate(
+                states.TwoQubitState(rho))
+        except (filtering.XFormError, filtering.TrivialNormalFormError):
+            verdicts[i] = None
+        except ValueError as e:
+            raised[i] = type(e)
+    assert raised and None in verdicts.values()
+    for i, exc in raised.items():
+        with pytest.raises(exc):
+            filtering.filtered_key_rate_batch(rhos[i:i + 1])
+    with pytest.raises(ValueError):
+        filtering.filtered_key_rate_batch(rhos)
+    idx = np.array(sorted(verdicts))
+    batch = filtering.filtered_key_rate_batch(rhos[idx])
+    for j, i in enumerate(idx):
+        want = verdicts[i]
+        assert batch.filterable[j] == (want is not None), i
+        before = metrics.correlation_spectrum(states.TwoQubitState(rhos[i]))
+        assert np.array_equal(batch.lambdas_before[j], before.lambdas), i
+        assert batch.region_before[j] is metrics.classify(before), i
+        if want is None:
+            assert np.isnan(batch.p_succ[j]) and batch.r_filtered[j] == 0.0
+            assert np.isnan(batch.lambdas_after[j]).all()
+            continue
+        np.testing.assert_allclose(
+            [batch.p_succ[j], batch.r_filtered[j], *batch.lambdas_after[j]],
+            [want.p_succ, want.r_filtered, *want.after.spectrum.lambdas],
+            rtol=1e-12, atol=0, err_msg=str(i))
