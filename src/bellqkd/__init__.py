@@ -10,8 +10,8 @@ Monte Carlo of the filter-then-measure protocol.
 from .states import (FamilySpec, InvalidStateError, MuellerMatrix,
                      StateFileError, TwoQubitState, ValidityReport,
                      bell_state, depolarize, from_mueller, from_pauli,
-                     gisin_rho, load_state_file, make_family,
-                     parse_state_spec, to_mueller, validate)
+                     load_state_file, make_family, parse_state_spec,
+                     to_mueller, validate)
 from .metrics import (ChshSettings, CorrelationSpectrum, KeyMetrics, Region,
                       chsh_max, chsh_value, classify, correlation_spectrum,
                       key_rate_symmetric, optimal_chsh_settings, q_crit,
@@ -32,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilySpec", "InvalidStateError", "MuellerMatrix", "StateFileError",
     "TwoQubitState", "ValidityReport", "bell_state", "depolarize",
-    "from_mueller", "from_pauli", "gisin_rho", "load_state_file",
-    "make_family",
+    "from_mueller", "from_pauli", "load_state_file", "make_family",
     "parse_state_spec", "to_mueller", "validate",
     "ChshSettings", "CorrelationSpectrum", "KeyMetrics", "Region",
     "chsh_max", "chsh_value", "classify", "correlation_spectrum",

@@ -300,6 +300,7 @@ def _boost(u: np.ndarray) -> np.ndarray:
 
 # B * _INVERT is the inverse G B G of a pure boost B, which is _boost(G u)
 _INVERT = np.outer(np.diag(_G), np.diag(_G))
+_AXES = np.arange(3)
 
 
 def _spatial(R: np.ndarray) -> np.ndarray:
@@ -319,11 +320,14 @@ def _time_like(V: np.ndarray):
                              full_matrices=False)
     ok = (sv > 1e-8 * sv[:, :1]).sum(axis=-1) == k
     B = B[..., :k]
-    w, Q = np.linalg.eigh(B.swapaxes(-1, -2) @ _G @ B)
-    ok &= ~(w[:, -1] < 1e-10)
-    w = np.sqrt(np.where(ok, w[:, -1], 1.0))
-    u = np.matvec(B, Q[..., -1]) / w[:, None]
-    return np.where(ok[:, None], u, _I4[0]), ok
+    BGB = B.swapaxes(-1, -2) @ _G @ B
+    if k == 1:  # the eigh of a 1 x 1 matrix is its entry, eigenvector 1
+        w, u = BGB[:, 0, 0], B[..., 0]
+    else:
+        w, Q = np.linalg.eigh(BGB)
+        w, u = w[:, -1], (B @ Q[..., -1:])[..., 0]
+    ok &= ~(w < 1e-10)
+    return u / np.sqrt(np.where(ok, w, 1.0))[:, None], ok
 
 
 def _diagonal_form(M: np.ndarray):
@@ -340,48 +344,50 @@ def _diagonal_form(M: np.ndarray):
     e0 = _I4[0]
     W = M @ _G @ M.swapaxes(-1, -2) @ _G
     evals, evecs = np.linalg.eig(W)
-    Wf = W.reshape(n, 16)
-    ok = ~(np.abs(evals.imag).max(axis=-1)
-           > 1e-8 * np.maximum(np.sqrt(np.vecdot(Wf, Wf)), 1e-30))
+    ok = np.ones(n, dtype=bool)
+    if np.iscomplexobj(evals):  # else every eigenvalue of the stack is real
+        ok &= ~(np.abs(evals.imag).max(axis=-1) > 1e-8 * np.maximum(
+            np.sqrt((W * W).sum(axis=(-2, -1))), 1e-30))
     lam = evals.real
     top = lam >= (lam.max(axis=-1)
                   - _EIG_RTOL * (1.0 + np.abs(lam).max(axis=-1)))[:, None]
     dims = top.sum(axis=-1)
-    u = np.zeros((n, 4))
-    u[:, 0] = 1.0
+    u = np.empty((n, 4))
     for k in set(dims[ok].tolist()):  # the top eigenspace has k dimensions
-        rows = np.flatnonzero(ok & (dims == k))
+        rows = ok & (dims == k)
         V = evecs[rows].swapaxes(-1, -2)[top[rows]]
         u[rows], ok[rows] = _time_like(V.reshape(-1, k, 4).swapaxes(-1, -2))
-    u = np.where(u[:, :1] > 0, u, -u)
-    v = np.matvec(M.swapaxes(-1, -2) @ _G, u)
-    nv = np.vecdot(v @ _G, v)
-    ok &= ~((nv < 1e-12) | (v[:, 0] <= 0))  # else v is not time-like
-    v = np.where(ok[:, None], v / np.sqrt(np.where(ok, nv, 1.0))[:, None], e0)
+    u[~ok] = e0
+    u *= np.where(u[:, :1] > 0, 1.0, -1.0)
+    v = (M.swapaxes(-1, -2) @ _G @ u[..., None])[..., 0]
+    nv = ((v @ _G)[:, None] @ v[..., None])[:, 0, 0]
+    ok &= (nv >= 1e-12) & (v[:, 0] > 0)  # else v is not time-like
+    v = v / np.sqrt(np.where(ok, nv, 1.0))[:, None]
+    v[~ok] = e0
     B = _boost(np.concatenate([u, v]))
     Bu, Bv = B[:n], B[n:]
     Mw = (Bu * _INVERT) @ M @ (Bv * _INVERT)
-    off = np.maximum(np.abs(Mw[:, 0, 1:]).max(axis=-1),
-                     np.abs(Mw[:, 1:, 0]).max(axis=-1))
-    ok &= ~(off > _WHITEN_RTOL * Mw[:, 0, 0])  # else M has the X pattern
+    off = np.abs(np.concatenate([Mw[:, 0, 1:], Mw[:, 1:, 0]], axis=-1))
+    ok &= off.max(axis=-1) <= _WHITEN_RTOL * Mw[:, 0, 0]  # else the X pattern
     R1, s, R2t = np.linalg.svd(Mw[:, 1:, 1:])
     # singular values equal to _EIG_RTOL sigma0 in the order of the axes
     # their directions lie along, so Gisin-type states keep diagonal filters
-    tie = np.zeros((n, 3), dtype=int)
-    tie[:, 1:] = (s[:, :-1] - s[:, 1:] > _EIG_RTOL * Mw[:, :1, 0]).cumsum(-1)
-    order = (3 * tie + np.abs(R1).argmax(axis=-2)).argsort(kind="stable")
-    rows = np.arange(n)[:, None]
-    s = s[rows, order]
-    R = np.concatenate([R1.swapaxes(-1, -2)[rows, order], R2t[rows, order]])
+    key = np.abs(R1).argmax(axis=-2)
+    gap = s[:, :-1] - s[:, 1:] > _EIG_RTOL * Mw[:, :1, 0]
+    key[:, 1:] += 3 * gap.cumsum(axis=-1)
+    order = key.argsort(kind="stable")
+    R = np.array([R1.swapaxes(-1, -2), R2t])  # row i: the directions of s[i]
+    if (order != _AXES).any():
+        rows = np.arange(n)[:, None]
+        s, R = s[rows, order], R[:, rows, order]
     # proper rotations; each reflection signs the last value
     sign = np.where(np.linalg.det(R) < 0, -1.0, 1.0)
-    R[:, 2] *= sign[:, None]
-    s[:, 2] *= sign[:n] * sign[n:]
-    R = R.swapaxes(-1, -2)
+    R[:, :, 2] *= sign[..., None]
+    s[:, 2] *= sign[0] * sign[1]
     sigma = np.zeros((n, 4, 4))
     sigma[:, 0, 0] = Mw[:, 0, 0]
-    sigma[:, [1, 2, 3], [1, 2, 3]] = s
-    L = B @ _spatial(R)
+    sigma.reshape(n, 16)[:, 5::5] = s
+    L = B @ _spatial(R.swapaxes(-1, -2).reshape(-1, 3, 3))
     return L[:n], L[n:], sigma, ok
 
 
@@ -459,14 +465,13 @@ def _x_form(M: np.ndarray):
 def _routes(M: np.ndarray):
     # the states normal_form takes around the Diagonal construction, over a
     # stack: the maximally mixed state, Bell-diagonal M and pure products
-    def near(A):
-        return np.abs(M - A).max(axis=(-2, -1)) < 1e-12
+    m = M.reshape(-1, 16)
 
-    trivial = near(np.outer(_I4[0], _I4[0]))
-    bell = near(M * _I4)
-    product = (near(M[:, :, :1] * M[:, :1, :])
-               & (np.sum(M * M, axis=(-2, -1)) > 4.0 - 1e-12))
-    return trivial, bell, product
+    def near(A):
+        return np.abs(m - A.reshape(-1, 16)).max(axis=-1) < 1e-12
+
+    return (near(_I4[0] * _I4[:, :1]), near(m * _I4.ravel()),
+            near(M[:, :, :1] * M[:, :1, :]) & ((m * m).sum(-1) > 4.0 - 1e-12))
 
 
 def normal_form(m: MuellerMatrix) -> NormalForm:
@@ -653,31 +658,19 @@ class BatchOutcome:
     r_filtered: np.ndarray
 
 
-# States per stacked pass of filtered_key_rate_batch; the temporaries of a
-# pass grow with it. 40,000 states in one pass raise the peak RSS by 157
-# MiB, in passes of 256 by 2.4 MiB; a 2,450-cell sweep in one pass peaks
-# 10 MiB above the one-state loop, in passes of 256 it does not.
-_BATCH_CHUNK = 256
-
-
 def filtered_key_rate_batch(rhos) -> BatchOutcome:
     """:func:`filtered_key_rate` over density matrices rhos of shape (N, 4, 4).
 
-    The Diagonal route runs on stacks of states, through the same checks
-    as the one-state objects. States that :func:`normal_form` takes around
-    it (the maximally mixed state, Bell-diagonal states, pure products),
-    and states a check rejects, go through :func:`filtered_key_rate` one
-    by one, so verdicts and exceptions are its own: the X form and the
-    maximally mixed state are not filterable, and any other exception
-    propagates.
+    The Diagonal route runs on the whole stack at once, through the same
+    checks as the one-state objects, so its temporaries grow with N; a
+    caller with many states passes them in chunks, as ``sweep`` does.
+    States that :func:`normal_form` takes around it (the maximally mixed
+    state, Bell-diagonal states, pure products), and states a check
+    rejects, go through :func:`filtered_key_rate` one by one, so verdicts
+    and exceptions are its own: the X form and the maximally mixed state
+    are not filterable, and any other exception propagates.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    parts = [_batch(rhos[i:i + _BATCH_CHUNK])
-             for i in range(0, max(len(rhos), 1), _BATCH_CHUNK)]
-    return BatchOutcome(*(np.concatenate(col) for col in zip(*parts)))
-
-
-def _batch(rhos: np.ndarray):
     n = len(rhos)
     M = _states._mueller(rhos)
     lam = _metrics._spectra(M)[0]
@@ -700,7 +693,7 @@ def _batch(rhos: np.ndarray):
         p[i], r[i] = out.p_succ, out.r_filtered
         lam_after[i] = out.after.spectrum.lambdas
     region = _metrics._REGIONS[_metrics._region_index(lam)]
-    return lam, region, filterable, p, lam_after, r
+    return BatchOutcome(lam, region, filterable, p, lam_after, r)
 
 
 def _filter_stack(rhos: np.ndarray, M: np.ndarray):

@@ -112,11 +112,14 @@ def _spectra(M: np.ndarray):
     first = big & (big.cumsum(axis=-1) == 1)
     flip = np.where((d * first).sum(axis=-1) < 0, -1.0, 1.0)
     d = d * flip[..., None]
-    a = d[:, :3]
-    order = np.lexsort((a[..., 2], a[..., 1], a[..., 0], -np.round(s, 12)))
+    out = s, d[:, :3], d[:, 3:], flip[:, :3] * flip[:, 3:]
+    rs = np.round(s, 12)
+    if (rs[:, 1:] < rs[:, :-1]).all():  # no ties: the SVD order stands
+        return out
+    a = out[1]
+    order = np.lexsort((a[..., 2], a[..., 1], a[..., 0], -rs))
     rows = np.arange(len(s))[:, None]
-    return (s[rows, order], a[rows, order], d[:, 3:][rows, order],
-            (flip[:, :3] * flip[:, 3:])[rows, order])
+    return tuple(x[rows, order] for x in out)
 
 
 def chsh_max(spec: CorrelationSpectrum) -> float:
@@ -162,16 +165,19 @@ def qber(spec: CorrelationSpectrum, num_bases: int) -> float:
     """
     if num_bases not in (2, 3):
         raise ValueError(f"num_bases must be 2 or 3, got {num_bases!r}")
-    return float(_qber(spec.lambdas, num_bases))
+    return _qber(spec.lambdas, num_bases)
 
 
-def _qber(lam: np.ndarray, num_bases: int) -> np.ndarray:
-    # qber of one spectrum lam (3,) or of a stack of them (N, 3)
-    l1, l2, l3 = lam.T
+def _qber(lam: np.ndarray, num_bases: int):
+    # qber of one spectrum lam (3,), as a float, or of a stack of them (N, 3)
+    one = lam.ndim == 1
+    l1, l2, l3 = lam.tolist() if one else lam.T
     if num_bases == 2:
         q = (2.0 - l1 - l2) / 4.0
     else:
         q = (3.0 - l1 - l2 - l3) / 6.0
+    if one:
+        return min(max(q, 0.0), 1.0)
     return np.minimum(np.maximum(q, 0.0), 1.0)
 
 
@@ -184,7 +190,7 @@ def key_rate_symmetric(q: float) -> KeyMetrics:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q out of range: {q!r}")
-    r_min = float(_r_min(np.float64(q)))
+    r_min = float(_r_min(float(q)))
     return KeyMetrics(q=float(q), r_min=r_min, distillable=bool(r_min > 0))
 
 
@@ -219,10 +225,11 @@ def classify(spec: CorrelationSpectrum) -> Region:
 
 
 _REGIONS = np.array(list(Region), dtype=object)
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = float(np.sqrt(2.0))
 
 
-def _region_index(lam: np.ndarray) -> np.ndarray:
-    # index into _REGIONS of one spectrum lam (3,) or of a stack (N, 3)
-    l1, l2 = lam.T[:2]
-    return ~(l1 * l1 + l2 * l2 <= 1.0) * (1 + ~(l1 + l2 <= _SQRT2))
+def _region_index(lam: np.ndarray):
+    # index into _REGIONS of one spectrum lam (3,), as an int, or of a stack
+    # (N, 3); written with <= so that NaN counts as violating and usable
+    l1, l2 = lam[:2].tolist() if lam.ndim == 1 else lam.T[:2]
+    return (1 - (l1 * l1 + l2 * l2 <= 1.0)) * (2 - (l1 + l2 <= _SQRT2))

@@ -35,7 +35,6 @@ __all__ = [
     "make_family",
     "depolarize",
     "bell_state",
-    "gisin_rho",
     "load_state_file",
     "parse_state_spec",
 ]
@@ -235,12 +234,10 @@ def bell_state(label: str) -> TwoQubitState:
     return TwoQubitState(np.outer(k, k.conj()))
 
 
-def gisin_rho(alpha, mu) -> np.ndarray:
-    """Density matrices of gisin(alpha, mu), stacked over broadcast arrays.
-
-    Built strictly from the Pauli expansion, beta from normalization. No
-    domain check: :class:`FamilySpec` holds the family's domain.
-    """
+def _gisin_rho(alpha, mu) -> np.ndarray:
+    # density matrices of gisin(alpha, mu), stacked over broadcast arrays,
+    # built strictly from the Pauli expansion, beta from normalization; no
+    # domain check, FamilySpec holds the family's domain
     alpha, mu = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                     np.asarray(mu, dtype=float))
     # float_power rounds squares as Python's ** does (C pow), which differs
@@ -262,7 +259,7 @@ def make_family(spec: FamilySpec) -> TwoQubitState:
     elif spec.variant == "werner":
         state = depolarize(bell_state("psi-"), spec.p)
     else:
-        state = TwoQubitState(gisin_rho(spec.alpha, spec.mu))
+        state = TwoQubitState(_gisin_rho(spec.alpha, spec.mu))
     if spec.depolarize_p is not None:
         state = depolarize(state, spec.depolarize_p)
     return state

@@ -377,7 +377,8 @@ def test_sweep_chunks_do_not_show(capsys, tmp_path):
 
 def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
     """A cell whose one-state path raises ValueError ends the sweep with
-    exit 1, a message and no CSV. alpha = 1/sqrt(2) makes a Bell-diagonal
+    exit 1 and a message, leaves a file already at --out as it was and
+    leaves no temporary file. alpha = 1/sqrt(2) makes a Bell-diagonal
     cell, which takes that path."""
     def unresolved(state):
         raise ValueError("not proper orthochronous (stand-in)")
@@ -385,12 +386,14 @@ def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(filtering, "filtered_key_rate", unresolved)
     al = repr(2 ** -0.5)
     out_path = tmp_path / "x.csv"
+    out_path.write_text("kept\n")
     code, _, err = run(capsys, ["sweep", "--family", "gisin",
                                 "--alpha", f"{al}:{al}:1", "--mu", "0.5:0.5:1",
                                 "--out", str(out_path)])
     assert code == 1
     assert err == "error: not proper orthochronous (stand-in)\n"
-    assert not out_path.exists()
+    assert out_path.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [out_path]
 
 
 def test_python_m_bellqkd_help():
