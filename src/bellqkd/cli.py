@@ -133,7 +133,7 @@ def _cmd_filter(args) -> int:
     st, _ = _validated(args.state_file)
     try:
         out = filtering.filtered_key_rate(st)
-    except ValueError as e:  # the maximally mixed state, unresolved filters
+    except ValueError as e:  # the maximally mixed state, a vanishing p_succ
         raise _CliError(EXIT_INVALID_STATE, str(e))
     except filtering.XFormError as e:
         _emit({
@@ -245,7 +245,7 @@ def _cmd_sweep(args) -> int:
                     states._gisin_rho(al, mu))
                 writer.writerows(_sweep_rows(al, mu, out))
         os.replace(tmp, args.out)
-    except ValueError as e:  # filters the construction cannot resolve
+    except ValueError as e:  # a vanishing p_succ
         raise _CliError(EXIT_INVALID_STATE, str(e))
     finally:
         if os.path.exists(tmp):

@@ -6,8 +6,10 @@ this double cover is what makes single-copy entanglement concentration a
 piece of Minkowski geometry. The normal form M = L1 Sigma L2^T (Sigma
 diagonal for almost every state, an X-patterned matrix on a measure-zero
 set; Verstraete, Dehaene and De Moor, PRA 64, 010101(R), 2001) directly
-yields the optimal filters: invert L1, L2 back through the double cover
-and rescale to unit operator norm.
+yields the optimal filters. L1 = boost(u) R_A is a pure boost after a
+rotation, so the filter of its inverse is U(R_A)^dag H(G u) in closed form:
+U(R) is the SU(2) element of R, and H(w), the positive filter of boost(w),
+has operator norm sqrt(w0 + |w|), which the filter is divided by.
 
 The Diagonal form comes from one eigenspace construction. L1 e0 = u is
 the time-like eigenvector of W = M G M^T G for its top eigenvalue
@@ -72,17 +74,17 @@ MINKOWSKI_G = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI_G.setflags(write=False)
 
 _G = MINKOWSKI_G
+_GD = np.diag(_G)
 _I4 = np.eye(4)
 
+# rows: vec(sigma_i), i = 0..3, with sigma_0 the identity
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]).reshape(4, 4)
 # double-cover intertwiner: rows are vec(sigma_i^T)/sqrt(2)
-_V = np.array(
-    [[1, 0, 0, 1],
-     [0, 1, 1, 0],
-     [0, 1j, -1j, 0],
-     [1, 0, 0, -1]], dtype=complex) / np.sqrt(2.0)
-
-_SY2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SY2, _SY2).real  # real symmetric
+_V = _PAULI.conj() / np.sqrt(2.0)
+# U = q0 I - i q.sigma for the unit quaternion q
+_QUAT = _PAULI * np.array([1, -1j, -1j, -1j])[:, None]
+_YY = np.kron(_PAULI[2].reshape(2, 2), _PAULI[2].reshape(2, 2)).real
 
 DIAGONAL = "Diagonal"
 XFORM = "XForm"
@@ -93,13 +95,10 @@ XFORM = "XForm"
 # |L G L^T - G|, |det L - 1| and 1 - L00 of a LorentzTransform: the
 # Diagonal l1, l2 stay within 7e-12 of them on the 200x200 Gisin grid (L00
 # up to 250); on filtered pure, nearly product states (L00 up to 1.3e4)
-# they reach 3e-8, and the states past the bound raise.
+# they reach 3e-8, and normal_form raises on the states past the bound.
 _LORENTZ_TOL = 1e-9
-# operator norm of a filter above 1: the rescaling to unit norm leaves 1e-15
+# operator norm of a filter above 1: the closed forms leave 1e-15
 _NORM_TOL = 1e-12
-# the three small eigenvalues of lorentz_to_filter's reshuffled V^dag L V,
-# relative to the largest: below 1e-15 for L00 up to 1.3e4
-_RANK_RTOL = 1e-6
 # success probability below which a filter pair's output is undefined
 _P_FLOOR = 1e-12
 
@@ -144,14 +143,6 @@ class LorentzTransform:
             raise ValueError(
                 f"not proper orthochronous (metric dev {dev:.3e}, det {det:.12g}, "
                 f"L00 {a[0, 0]:.12g})")
-
-
-def _lorentz_ok(L: np.ndarray) -> np.ndarray:
-    # LorentzTransform's check over a stack
-    dev = np.abs(L @ _G @ L.swapaxes(-1, -2) - _G).max(axis=(-2, -1))
-    return ~((dev > _LORENTZ_TOL)
-             | (np.abs(np.linalg.det(L) - 1.0) > _LORENTZ_TOL)
-             | (L[:, 0, 0] < 1.0 - _LORENTZ_TOL))
 
 
 @dataclass(frozen=True)
@@ -238,35 +229,45 @@ def filter_to_lorentz(f) -> LorentzTransform:
 
 
 def lorentz_to_filter(l: LorentzTransform) -> np.ndarray:
-    """Invert the double cover; unit operator norm, largest entry real positive.
+    """The filter of unit operator norm whose Lorentz image is l, up to phase.
 
-    V^dag L V equals (f x f*)/|det f|, whose reshuffle K[(i,j),(k,l)] is the
-    rank-1 matrix vec(f) vec(f)^dag / |det f|; the dominant eigenvector
-    recovers f up to phase.
+    The polar decomposition l = boost(w) R with w = l e0 gives it in closed
+    form, H(w) U(R) / sqrt(w0 + |w|): H(w) = ((w0 + 1) I + w.sigma) /
+    sqrt(2 (w0 + 1)) is the positive filter of boost(w), with operator norm
+    sqrt(w0 + |w|), and U(R) the SU(2) element of the rotation R.
     """
     if not isinstance(l, LorentzTransform):
         l = LorentzTransform(np.asarray(l, dtype=float))
-    f, ok = _lorentz_to_filter(l.l[None])
-    if not ok[0]:
-        raise ValueError("input is not the Lorentz image of any filter")
-    return f[0]
+    w = l.l[None, :, 0]
+    R = ((_boost(w) * _INVERT) @ l.l)[:, 1:, 1:]
+    return (_boost_filter(w) @ _rotation_filter(R))[0]
 
 
-def _lorentz_to_filter(L: np.ndarray):
-    # lorentz_to_filter over a stack: filters and the mask of the rank-1 check
-    A = _V.conj().T @ L.astype(complex) @ _V
-    K = A.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-    K = (K + K.conj().swapaxes(-1, -2)) / 2.0
-    w, vv = np.linalg.eigh(K)
-    ok = ~((w[:, -1] <= 0)
-           | (np.abs(w[:, :3]).max(axis=-1) > _RANK_RTOL * w[:, -1]))
-    f = vv[:, :, -1].reshape(-1, 2, 2)
-    flat = f.reshape(-1, 4)
-    top = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=-1)]
-    # np.hypot rounds as abs() of one complex number does; np.abs of a
-    # complex array differs from it in the last bit
-    f = f * (top / np.hypot(top.real, top.imag)).conj()[:, None, None]
-    return f / np.linalg.svd(f, compute_uv=False)[:, :1, None], ok
+def _boost_filter(w: np.ndarray) -> np.ndarray:
+    # H(w) / sqrt(w0 + |w|) for future unit time-like vectors w[n]: unit
+    # operator norm, Lorentz image boost(w), |det| = 1 / (w0 + |w|)
+    w0 = w[:, 0, None, None]
+    h = ((w + _I4[0]) @ _PAULI).reshape(-1, 2, 2)
+    return h / np.sqrt(2.0 * (w0 + 1.0) * (
+        w0 + np.linalg.norm(w[:, 1:], axis=-1)[:, None, None]))
+
+
+def _rotation_filter(R: np.ndarray) -> np.ndarray:
+    # SU(2) elements U(R) with Lorentz image the rotations R[n]: the
+    # quaternion q is read off Q = 4 q q^T, which is linear in R, as the
+    # column of its largest diagonal entry (q0 = 0 for rotations by pi),
+    # normalised, which keeps U unitary to an ulp (the scale 2 sqrt(Q_kk)
+    # left unitary filter pairs with p_succ 3 ulp above 1)
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    Q = np.empty((len(R), 4, 4))
+    Q[:, 0, 0] = 1.0 + tr
+    Q[:, 0, 1:] = Q[:, 1:, 0] = (R[:, [2, 0, 1], [1, 2, 0]]
+                                 - R[:, [1, 2, 0], [2, 0, 1]])
+    Q[:, 1:, 1:] = (R + R.swapaxes(-1, -2)
+                    + (1.0 - tr)[:, None, None] * _I4[1:, 1:])
+    q = Q[np.arange(len(R)), np.diagonal(Q, axis1=-2, axis2=-1).argmax(-1)]
+    q /= np.linalg.norm(q, axis=-1)[:, None]
+    return (q @ _QUAT).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def _boost(u: np.ndarray) -> np.ndarray:
 
 
 # B * _INVERT is the inverse G B G of a pure boost B, which is _boost(G u)
-_INVERT = np.outer(np.diag(_G), np.diag(_G))
+_INVERT = np.outer(_GD, _GD)
 _AXES = np.arange(3)
 
 
@@ -331,14 +332,15 @@ def _time_like(V: np.ndarray):
 
 
 def _diagonal_form(M: np.ndarray):
-    """l1, l2, sigma with M = l1 sigma l2^T and sigma diagonal, over a stack.
+    """The pieces of M = l1 sigma l2^T with sigma diagonal, over a stack.
 
     M has shape (N, 4, 4). The construction is the module docstring's: u =
     l1 e0 from the top eigenspace of W, v = l2 e0 = M^T G u normalised,
-    whitening boosts, and a proper SVD. The returned mask is False where u
-    or v does not exist, or the boosts do not whiten M: M has the X
-    pattern. Those rows carry u = v = e0 through the steps and hold finite
-    values of no meaning.
+    whitening boosts, and a proper SVD. Returns uv = (u, v) and rot (2N
+    rows each, Alice's first) with l = boost(uv) rot, sigma, and the mask,
+    which is False where u or v does not exist, or the boosts do not whiten
+    M: M has the X pattern. Those rows carry u = v = e0 through the steps
+    and hold finite values of no meaning.
     """
     n = len(M)
     e0 = _I4[0]
@@ -364,7 +366,8 @@ def _diagonal_form(M: np.ndarray):
     ok &= (nv >= 1e-12) & (v[:, 0] > 0)  # else v is not time-like
     v = v / np.sqrt(np.where(ok, nv, 1.0))[:, None]
     v[~ok] = e0
-    B = _boost(np.concatenate([u, v]))
+    uv = np.concatenate([u, v])
+    B = _boost(uv)
     Bu, Bv = B[:n], B[n:]
     Mw = (Bu * _INVERT) @ M @ (Bv * _INVERT)
     off = np.abs(np.concatenate([Mw[:, 0, 1:], Mw[:, 1:, 0]], axis=-1))
@@ -387,8 +390,7 @@ def _diagonal_form(M: np.ndarray):
     sigma = np.zeros((n, 4, 4))
     sigma[:, 0, 0] = Mw[:, 0, 0]
     sigma.reshape(n, 16)[:, 5::5] = s
-    L = B @ _spatial(R.swapaxes(-1, -2).reshape(-1, 3, 3))
-    return L[:n], L[n:], sigma, ok
+    return uv, R.swapaxes(-1, -2).reshape(-1, 3, 3), sigma, ok
 
 
 def _rotation_to(r: np.ndarray) -> LorentzTransform:
@@ -496,10 +498,11 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
                           l2=_rotation_to(M[0, 1:]),
                           sigma=np.outer(_E_PLUS, _E_PLUS),
                           xform_params=(1.0, 1.0, 1.0, 0.0))
-    L1, L2, Sigma, ok = _diagonal_form(M[None])
+    uv, rot, Sigma, ok = _diagonal_form(M[None])
     if ok[0]:
-        return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L1[0]),
-                          l2=LorentzTransform(L2[0]), sigma=Sigma[0])
+        L = _boost(uv) @ _spatial(rot)
+        return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L[0]),
+                          l2=LorentzTransform(L[1]), sigma=Sigma[0])
     L1, L2, Sigma = _x_form(M)
     params = tuple(float(Sigma[i, j]) + 0.0
                    for i, j in ((0, 0), (0, 3), (3, 0), (1, 1)))
@@ -515,33 +518,30 @@ def optimal_filters(state: TwoQubitState) -> FilterPair:
     """Filters that map the state onto its (Bell-diagonal) normal form.
 
     The filtered state's Mueller matrix is sigma / sigma[0][0]; each filter
-    is rescaled to unit operator norm, which maximizes the success
-    probability without changing the filtered state. Bell-diagonal inputs
-    get exact identity filters. Raises :class:`XFormError` when the state
-    reduces to the X pattern instead.
+    has unit operator norm, which maximizes the success probability without
+    changing the filtered state. Bell-diagonal inputs get exact identity
+    filters. Raises :class:`XFormError` when the state reduces to the X
+    pattern instead, and :class:`TrivialNormalFormError` for the maximally
+    mixed state.
     """
-    nf = normal_form(to_mueller(state))
-    if nf.kind == XFORM:
-        a, b, c, d = nf.xform_params
-        raise XFormError(a, b, c, d)
-    f, inv, inv_ok, rank_ok = _inverse_filters(np.stack([nf.l1.l, nf.l2.l]))
-    for l in inv[~inv_ok]:
-        LorentzTransform(l)  # raises, with the deviations
-    if not rank_ok.all():
-        raise ValueError("input is not the Lorentz image of any filter")
-    return FilterPair(m1=f[0], n1=f[1])
+    m = to_mueller(state)
+    trivial, bell, product = _routes(m.m[None])
+    if bell[0] and not trivial[0]:
+        return FilterPair(m1=np.eye(2), n1=np.eye(2))
+    if not (trivial[0] or product[0]):
+        f, ok = _filters(m.m[None])
+        if ok[0]:
+            return FilterPair(m1=f[0], n1=f[1])
+    a, b, c, d = normal_form(m).xform_params
+    raise XFormError(a, b, c, d)
 
 
-def _inverse_filters(L: np.ndarray):
-    # optimal_filters' filters for a stack of l1 or l2: lorentz_to_filter of
-    # the inverse, or the exact identity filter where L is the identity;
-    # the inverses, and the masks of their LorentzTransform and rank-1
-    # checks, which the identity passes
-    ident = np.abs(L - _I4).max(axis=(-2, -1)) < 1e-12
-    inv = _G @ L.swapaxes(-1, -2) @ _G
-    f, rank_ok = _lorentz_to_filter(inv)
-    f[ident] = np.eye(2)
-    return f, inv, ident | _lorentz_ok(inv), ident | rank_ok
+def _filters(M: np.ndarray):
+    # optimal_filters over a stack: Alice's filters, then Bob's, and
+    # _diagonal_form's mask. l = boost(w) R has the inverse R^T boost(G w),
+    # whose filter is U(R^T) H(G w) / sqrt(w0 + |w|).
+    uv, rot, _, ok = _diagonal_form(M)
+    return _rotation_filter(rot.swapaxes(-1, -2)) @ _boost_filter(uv * _GD), ok
 
 
 def apply_filters(state: TwoQubitState, pair: FilterPair):
@@ -701,10 +701,8 @@ def _filter_stack(rhos: np.ndarray, M: np.ndarray):
     stack: p_succ, the filtered states' spectra, and the mask of states that
     pass every check of the one-state path."""
     n = len(M)
-    l1, l2, _, ok = _diagonal_form(M)
-    L = np.concatenate([l1, l2])
-    f, _, inv_ok, rank_ok = _inverse_filters(L)
-    good = _lorentz_ok(L) & inv_ok & rank_ok & _norm_ok(f)
+    f, ok = _filters(M)
+    good = _norm_ok(f)
     ok &= good[:n] & good[n:]
     out, p = _apply_filters(rhos, f[:n], f[n:])
     ok &= ~(p <= _P_FLOOR)

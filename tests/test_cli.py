@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bellqkd import cli, filtering
+from bellqkd import cli, filtering, states
 
 from conftest import (filtered, filtered_nearly_product_pure_states,
                       random_filter, x_mixture)
@@ -211,16 +211,22 @@ def test_filter_locally_filtered_x_states_exit_2(capsys, tmp_path):
 
 def test_filter_filtered_nearly_product_pure_states_exit_in_contract(
         capsys, tmp_path):
-    """Filters the construction cannot resolve exit 1, never a traceback."""
+    """Filtered pure, nearly product states get filters: p_succ is the
+    optimal single-copy concentration 2 lam_min^2 (Vidal, PRL 83, 1046,
+    1999) and the filters whiten the marginals."""
     rhos = filtered_nearly_product_pure_states(np.random.default_rng(3), 10)
-    codes = []
     for i, rho in enumerate(rhos):
         path = write(tmp_path, f"s{i}.json", matrix_doc(rho))
         code, out, err = run(capsys, ["filter", path])
-        codes.append(code)
-        if code == 1:
-            assert out == "" and err.startswith("error: not proper"), i
-    assert set(codes) <= {0, 1, 2} and 1 in codes
+        assert code == 0 and err == "", i
+        doc = json.loads(out)
+        psi = np.linalg.eigh(rho)[1][:, -1]
+        lam_min = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)[-1]
+        assert abs(doc["p_succ"] / (2.0 * lam_min ** 2) - 1.0) < 1e-6, i
+        # the report rounds the filters to 9 digits: whiten with the library's
+        mo = states.to_mueller(filtering.filtered_key_rate(
+            states.TwoQubitState(rho)).filtered).m
+        assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) <= 1e-7, i
 
 
 # ---------------------------------------------------------------------------

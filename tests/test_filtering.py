@@ -64,6 +64,42 @@ def test_lorentz_to_filter_z_boost():
     assert abs(np.linalg.norm(f, 2) - 1.0) < 1e-12
 
 
+def _rotation(axis, angle) -> np.ndarray:
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * K @ K
+
+
+def _boost_along(axis, l00) -> np.ndarray:
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    B = np.eye(4)
+    B[0, 0] = l00
+    B[0, 1:] = B[1:, 0] = np.sqrt(l00 * l00 - 1.0) * n
+    B[1:, 1:] += (l00 - 1.0) * np.outer(n, n)
+    return B
+
+
+def test_lorentz_to_filter_rotations_by_pi_and_boosts():
+    """The closed form holds where the quaternion has q0 = 0 (trace R = -1)
+    and for boosts after rotations up to L00 = 250."""
+    rng = np.random.default_rng(41)
+    axes = [[1, 0, 0], [0, 1, 0], [0, 0, 1], rng.normal(size=3)]
+    rotations = [_rotation(a, np.pi) for a in axes]
+    rotations += [_rotation(rng.normal(size=3), rng.uniform(0, 2 * np.pi))
+                  for _ in range(20)]
+    cases = []
+    for R in rotations:
+        for l00 in (1.0, 1.5, 30.0, 250.0):
+            S = np.eye(4)
+            S[1:, 1:] = R
+            cases.append(_boost_along(rng.normal(size=3), l00) @ S)
+    for L in cases:
+        f = filtering.lorentz_to_filter(filtering.LorentzTransform(L))
+        assert abs(np.linalg.norm(f, 2) - 1.0) < 1e-12
+        back = filtering.filter_to_lorentz(f).l
+        assert np.abs(back - L).max() < 1e-12 * L[0, 0] ** 2
+
+
 def test_double_cover_round_trip():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -514,6 +550,41 @@ def test_filtered_key_rate_gisin_reference():
     assert out.after.distillable
 
 
+def test_filtered_key_rate_pure_state_oracle():
+    """On pure states p_succ is the optimal single-copy concentration
+    2 lam_min^2, lam_min the smaller Schmidt coefficient (Vidal, PRL 83,
+    1046, 1999). The 1e-12 bound grows as 1/lam_min^2 below lam_min = 0.03:
+    nearly product states condition p_succ so (3.3e-12 at lam_min 2.7e-3)."""
+    rng = np.random.default_rng(97)
+    for k in range(300):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        lam_min = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)[-1]
+        out = filtering.filtered_key_rate(
+            states.TwoQubitState(np.outer(psi, psi.conj())))
+        rtol = 1e-12 * max(1.0, (0.03 / lam_min) ** 2)
+        assert abs(out.p_succ / (2.0 * lam_min ** 2) - 1.0) < rtol, k
+
+
+def test_filtered_nearly_product_pure_states_get_filters():
+    """Filters come from the normal form's boosts and rotations, not from
+    l1, l2, so they exist where l1, l2 miss the Lorentz bounds."""
+    rhos = filtered_nearly_product_pure_states(np.random.default_rng(7), 398)
+    diagonal = 0
+    for k, rho in enumerate(rhos):
+        try:
+            out = filtering.filtered_key_rate(states.TwoQubitState(rho))
+        except filtering.XFormError:
+            continue
+        diagonal += 1
+        psi = np.linalg.eigh(rho)[1][:, -1]
+        lam_min = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)[-1]
+        assert abs(out.p_succ / (2.0 * lam_min ** 2) - 1.0) < 1e-6, k
+        mo = states.to_mueller(out.filtered).m
+        assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) <= 1e-7, k
+    assert diagonal == 396
+
+
 def test_filtered_key_rate_singlet():
     out = filtering.filtered_key_rate(states.bell_state("psi-"))
     assert abs(out.p_succ - 1.0) < 1e-12
@@ -539,12 +610,22 @@ def test_filtered_key_rate_propagates_xform():
 # ---------------------------------------------------------------------------
 # the batch
 
-def test_batch_equals_scalar():
+def test_batch_equals_scalar(monkeypatch):
     """filtered_key_rate_batch agrees with filtered_key_rate state by state.
 
     The X form and the maximally mixed state are verdicts (not filterable);
-    any other exception of the scalar path is raised by the batch too.
+    any other exception of the scalar path is raised by the batch too. A
+    stand-in ValueError on the Werner state, which the batch hands to the
+    scalar path, checks that.
     """
+    one_state = filtering.filtered_key_rate
+
+    def unresolved_werner(state):
+        if np.array_equal(state.rho, werner.rho):
+            raise ValueError("unresolved (stand-in)")
+        return one_state(state)
+
+    monkeypatch.setattr(filtering, "filtered_key_rate", unresolved_werner)
     rng = np.random.default_rng(89)
     grid = [states.make_family(states.FamilySpec(
         variant="gisin", alpha=float(a), mu=float(m))).rho
