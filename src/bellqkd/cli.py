@@ -100,23 +100,21 @@ def _summary_doc(ms: filtering.MetricsSummary) -> dict:
 
 def _cmd_analyze(args) -> int:
     st, rep = _validated(args.state_file)
-    spec = metrics.correlation_spectrum(st)
+    ms = filtering.summarize_metrics(st)
     try:
-        s = metrics.optimal_chsh_settings(spec)
+        s = metrics.optimal_chsh_settings(ms.spectrum)
         settings = {"a0": s.a0, "a1": s.a1, "b0": s.b0, "b1": s.b1}
     except ValueError:  # zero correlation block has no preferred settings
         settings = None
-    q2 = metrics.qber(spec, 2)
-    km = metrics.key_rate_symmetric(q2)
     ent = filtering.entanglement_report(st)
     _emit({
-        "spectrum": list(spec.lambdas),
-        "s_max": metrics.chsh_max(spec),
+        "spectrum": list(ms.spectrum.lambdas),
+        "s_max": ms.s_max,
         "optimal_settings": settings,
-        "q_L2": q2,
-        "q_L3": metrics.qber(spec, 3),
-        "r_min": km.r_min,
-        "region": metrics.classify(spec).value,
+        "q_L2": ms.q,
+        "q_L3": metrics.qber(ms.spectrum, 3),
+        "r_min": ms.r_min,
+        "region": ms.region.value,
         "concurrence": ent.concurrence,
         "eof": ent.eof,
         "validity": {

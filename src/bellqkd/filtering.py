@@ -556,7 +556,8 @@ def _apply_filters(rho, m1, n1):
     # apply_filters over a stack: the unnormalised outputs and their traces
     K = (m1[:, :, None, :, None] * n1[:, None, :, None, :]).reshape(-1, 4, 4)
     out = K @ rho @ K.conj().swapaxes(-1, -2)
-    return out, np.trace(out, axis1=-2, axis2=-1).real
+    # p <= 1 for filters of norm <= 1; round-off can put it an ulp above
+    return out, np.minimum(np.trace(out, axis1=-2, axis2=-1).real, 1.0)
 
 
 # ---------------------------------------------------------------------------

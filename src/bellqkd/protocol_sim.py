@@ -11,6 +11,8 @@ Randomness comes from numpy's counter-based Philox generator, consumed
 in blocks of fixed size with a fixed per-block draw order (filter
 uniform when filtering is on, test flag, Alice index, Bob index, outcome
 uniform), so a (state, config) pair reproduces its report bit for bit.
+Every count in the report is read from one 8x4 table of accepted rounds
+by (row = 4 is_test + 2 a + b, outcome), one bincount per block.
 """
 
 from __future__ import annotations
@@ -124,52 +126,40 @@ def run_protocol(state: TwoQubitState, config: SimConfig) -> SimReport:
     # row layout: key (i,j) rows 0..3, chsh (i,j) rows 4..7
     table = np.vstack([born_joint_distribution(measured, av, bv)
                        for av, bv in key_pairs + chsh_pairs])
-    cum = np.cumsum(table, axis=1)
-    cum[:, -1] = 1.0
-    flip = np.asarray(spec.signs) < 0
+    # outcome k of a row is the number of its bounds cum[0..2, row] below
+    # the uniform; one contiguous column per bound gathers fastest
+    cum = np.ascontiguousarray(np.cumsum(table, axis=1).T[:3])
 
+    # N[4 row + k] counts accepted rounds; outcome k is the sign pair
+    # (+,+), (+,-), (-,+), (-,-)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    accepted = 0
-    sifted = 0
-    errors = 0
-    chsh_cnt = np.zeros(4, dtype=np.int64)
-    chsh_sum = np.zeros(4)
+    N = np.zeros(32, dtype=np.int64)
     left = int(config.rounds)
     while left > 0:
         n = min(_BLOCK, left)
         left -= n
-        if config.with_filtering:
-            keep = rng.random(n) < p_keep
-        else:
-            keep = np.ones(n, dtype=bool)
-        is_test = rng.random(n) < config.chsh_test_fraction
-        ai = rng.integers(0, 2, size=n)
-        bi = rng.integers(0, 2, size=n)
+        keep = (rng.random(n) < p_keep if config.with_filtering
+                else slice(None))
+        row = 4 * (rng.random(n) < config.chsh_test_fraction)
+        row += 2 * rng.integers(0, 2, size=n)
+        row += rng.integers(0, 2, size=n)
         uo = rng.random(n)
+        key = 4 * row
+        for bound in cum:
+            key += uo > bound[row]
+        N += np.bincount(key[keep], minlength=32)
+    N = N.reshape(8, 4)
 
-        accepted += int(keep.sum())
-        row = (np.where(is_test, 4, 0) + 2 * ai + bi)[keep]
-        out = (uo[keep, None] > cum[row]).sum(axis=1)
-        sa = np.where(out < 2, 1, -1)
-        sb = np.where(out % 2 == 0, 1, -1)
-
-        tk = is_test[keep]
-        akk, bkk = ai[keep], bi[keep]
-        matched = ~tk & (akk == bkk)
-        abit = sa < 0
-        bbit = (sb < 0) ^ flip[bkk]
-        sifted += int(matched.sum())
-        errors += int((matched & (abit != bbit)).sum())
-
-        cell = (2 * akk + bkk)[tk]
-        chsh_cnt += np.bincount(cell, minlength=4)
-        chsh_sum += np.bincount(cell, weights=(sa * sb)[tk], minlength=4)
-
+    accepted = int(N.sum())
+    sifted = int(N[0].sum() + N[3].sum())
     if sifted == 0:
         raise ValueError("zero sifted rounds: q_emp undefined")
-    q_emp = errors / sifted
-    if chsh_cnt.min() >= 1:
-        corr = chsh_sum / chsh_cnt
+    # the bits differ on outcomes (+,-), (-,+); Bob's flip swaps that set
+    err = np.array([0, 1, 1, 0]) ^ (np.asarray(spec.signs[:2]) < 0)[:, None]
+    q_emp = int((N[[0, 3]] * err).sum()) / sifted
+    cnt = N[4:].sum(axis=1)
+    if cnt.min() >= 1:
+        corr = N[4:] @ (1, -1, -1, 1) / cnt
         s_emp = float(corr[0] + corr[1] + corr[2] - corr[3])
     else:
         s_emp = None

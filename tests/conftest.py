@@ -85,6 +85,11 @@ def _su2(q) -> np.ndarray:
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
+def haar_su2(rng: np.random.Generator) -> np.ndarray:
+    # a normalised Gaussian quaternion is uniform on S^3: Haar on SU(2)
+    return _su2(rng.normal(size=4))
+
+
 @st.composite
 def sl2c_filters(draw) -> np.ndarray:
     """A local filter in SL(2,C): U diag(e^t, e^-t) V with U, V in SU(2).

@@ -169,6 +169,40 @@ def test_gisin_filtered_run():
     assert abs(rep.s_emp - rep.s_analytic) < sig_s
 
 
+def test_reports_frozen():
+    """The Philox draw order and _BLOCK are a contract: a (state, config)
+    pair gives the same report, field for field, across versions. Runs:
+    filtered Gisin over one full and one partial block; psi- depolarized
+    to 0.9 (negative signs, so Bob flips) with a 0.3 test fraction; no
+    test rounds at all."""
+    SR = protocol_sim.SimReport
+    runs = [
+        (GISIN, protocol_sim.SimConfig(
+            rounds=protocol_sim._BLOCK + 12_345, seed=3, with_filtering=True),
+         SR(rounds_total=536633, rounds_filter_accepted=212560,
+            rounds_sifted=95922, key_bits=95922, q_emp=0.09117824899397427,
+            s_emp=2.3191336414108896, accept_rate=0.39609938263207817,
+            q_analytic=0.09180920635594025, s_analytic=2.309075825629067,
+            p_succ_analytic=0.3956483157256778)),
+        (states.depolarize(SINGLET, 0.9), protocol_sim.SimConfig(
+            rounds=200_000, seed=5, chsh_test_fraction=0.3),
+         SR(rounds_total=200000, rounds_filter_accepted=200000,
+            rounds_sifted=69758, key_bits=69758, q_emp=0.049169987671664896,
+            s_emp=2.549018953624346, accept_rate=1.0,
+            q_analytic=0.05000000000000013, s_analytic=2.5455844122715705,
+            p_succ_analytic=1.0)),
+        (SINGLET, protocol_sim.SimConfig(
+            rounds=1000, seed=9, chsh_test_fraction=0.0),
+         SR(rounds_total=1000, rounds_filter_accepted=1000,
+            rounds_sifted=494, key_bits=494, q_emp=0.0, s_emp=None,
+            accept_rate=1.0, q_analytic=1.1102230246251565e-16,
+            s_analytic=2.82842712474619, p_succ_analytic=1.0)),
+    ]
+    assert protocol_sim._BLOCK == 1 << 19
+    for st, cfg, want in runs:
+        assert protocol_sim.run_protocol(st, cfg) == want, cfg
+
+
 def test_filtering_requires_diagonal_form():
     cfg = protocol_sim.SimConfig(rounds=100, seed=0, with_filtering=True)
     with pytest.raises(filtering.XFormError):
