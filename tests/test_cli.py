@@ -429,13 +429,14 @@ def contract_states(rng, n):
             continue
         kind = i // 2 % 3
         if kind == 0:
-            spec = states.FamilySpec(variant="werner", p=rng.uniform(0.0, 1.0))
+            rho = states.make_family(states.FamilySpec(
+                variant="werner", p=rng.uniform(0.0, 1.0))).rho
         elif kind == 1:
-            spec = states.FamilySpec(variant="gisin",
-                                     alpha=rng.uniform(0.01, 0.99),
-                                     mu=rng.uniform(0.01, 1.0))
-        rho = (states.make_family(spec).rho if kind < 2
-               else random_density_matrix(rng, rank=1 + i % 4))
+            rho = states.make_family(states.FamilySpec(
+                variant="gisin", alpha=rng.uniform(0.01, 0.99),
+                mu=rng.uniform(0.01, 1.0))).rho
+        else:
+            rho = random_density_matrix(rng, rank=1 + i // 2 % 4)
         k = np.kron(haar_su2(rng), haar_su2(rng))
         out.append(k @ rho @ k.conj().T)
     return out
