@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -245,6 +246,8 @@ def _cmd_sweep(args) -> int:
         os.replace(tmp, args.out)
     except ValueError as e:  # a vanishing p_succ
         raise _CliError(EXIT_INVALID_STATE, str(e))
+    except OSError as e:  # --out in a missing directory, or a directory
+        raise _CliError(EXIT_USAGE, f"cannot write --out: {e}")
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -267,6 +270,9 @@ def _sweep_rows(alphas, mus, out: filtering.BatchOutcome):
         yield [_csv_cell(x) for x in (*before, filterable, *after, r)]
 
 
+# built once per process: parse_args keeps no state in the parser, and a
+# fresh parser costs more than an in-process analyze or filter command
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="bellqkd",
                 description="Two-qubit Bell-violation, filtering and QKD "

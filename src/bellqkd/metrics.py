@@ -34,6 +34,11 @@ __all__ = [
     "classify",
 ]
 
+# |norm - 1| above which a measurement direction is not a unit vector:
+# directions built from a 3x3 SVD are unit to a few ulp, and a caller's
+# direction given to 10 digits still passes
+_UNIT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CorrelationSpectrum:
@@ -69,7 +74,7 @@ class ChshSettings:
     def __post_init__(self):
         for name in ("a0", "a1", "b0", "b1"):
             a = np.array(getattr(self, name), dtype=float).reshape(3)
-            if abs(np.linalg.norm(a) - 1.0) > 1e-10:
+            if abs(np.linalg.norm(a) - 1.0) > _UNIT_TOL:
                 raise ValueError(f"{name} must be a unit vector")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -150,7 +155,7 @@ def optimal_chsh_settings(spec: CorrelationSpectrum) -> ChshSettings:
 def chsh_value(state: TwoQubitState, settings: ChshSettings) -> float:
     """Bell-operator expectation a0.T(b0+b1) + a1.T(b0-b1)."""
     for v in (settings.a0, settings.a1, settings.b0, settings.b1):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
             raise ValueError("measurement directions must be unit vectors")
     T = to_mueller(state).t_block
     return float(settings.a0 @ T @ (settings.b0 + settings.b1)

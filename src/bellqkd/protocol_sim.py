@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import apply_filters, optimal_filters
-from .metrics import (chsh_value, correlation_spectrum,
+from .metrics import (_UNIT_TOL, chsh_value, correlation_spectrum,
                       optimal_chsh_settings, qber)
 from .states import PAULI, TwoQubitState, to_mueller
 
@@ -49,6 +49,8 @@ class SimConfig:
     def __post_init__(self):
         if int(self.rounds) < 1:
             raise ValueError("rounds must be >= 1")
+        if int(self.seed) < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.chsh_test_fraction < 1.0:
             raise ValueError("chsh_test_fraction must lie in [0, 1)")
 
@@ -76,7 +78,7 @@ def born_joint_distribution(state: TwoQubitState, a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for v in (a, b):
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
             raise ValueError("measurement direction must be a unit 3-vector")
     # rows s = +1, -1 of (1, s a), columns t = +1, -1 of (1, t b)
     x = np.array([[1.0, *a], [1.0, *-a]])

@@ -339,4 +339,6 @@ def load_state_file(path) -> TwoQubitState:
         raise StateFileError(f"cannot read state file: {exc}")
     except json.JSONDecodeError as exc:
         raise StateFileError(f"state file is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file is not UTF-8: {exc}")
     return parse_state_spec(doc)

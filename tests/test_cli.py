@@ -110,6 +110,15 @@ def test_analyze_malformed_json(capsys, tmp_path):
     assert code == 64 and "JSON" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "filter"])
+def test_non_utf8_state_file(capsys, tmp_path, command):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, [command, str(p)])
+    assert code == 64 and out == ""
+    assert err.startswith("error: malformed state file: ")
+
+
 def test_analyze_unknown_keys(capsys, tmp_path):
     path = write(tmp_path, "extra.json",
                  {"family": {"variant": "bell", "label": "psi-"}, "oops": 1})
@@ -270,6 +279,9 @@ def test_simulate_bad_rounds(capsys, singlet_file):
     code, _, err = run(capsys, ["simulate", singlet_file, "--rounds", "100",
                                 "--chsh-fraction", "1.5"])
     assert code == 64
+    code, out, err = run(capsys, ["simulate", singlet_file, "--rounds", "100",
+                                  "--seed", "-1"])
+    assert code == 64 and out == "" and "seed" in err
 
 
 def test_unknown_subcommand(capsys):
@@ -401,6 +413,59 @@ def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
     assert err == "error: not proper orthochronous (stand-in)\n"
     assert out_path.read_text() == "kept\n"
     assert list(tmp_path.iterdir()) == [out_path]
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+def test_sweep_unwritable_out_exits_64(capsys, tmp_path, where):
+    """An --out that cannot be written ends the sweep with exit 64, leaves
+    an existing --out as it was and leaves no temporary file."""
+    out_path = tmp_path / ("x.csv" if where == "is_dir" else "gone/x.csv")
+    if where == "is_dir":
+        out_path.mkdir()
+        (out_path / "kept").write_text("kept\n")
+    code, out, err = run(capsys, ["sweep", "--family", "gisin",
+                                  "--alpha", "0.5:0.9:3", "--mu", "0.5:0.5:1",
+                                  "--out", str(out_path)])
+    assert code == 64 and out == ""
+    assert err.startswith("error: cannot write --out: ")
+    if where == "is_dir":
+        assert list(tmp_path.iterdir()) == [out_path]
+        assert (out_path / "kept").read_text() == "kept\n"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_cached_parser_carries_no_state(capsys, tmp_path, gisin_file):
+    """The parser is built once per process; the same commands in two orders
+    give the same exit codes and output, so no call leaks into the next."""
+    sim = ["simulate", gisin_file, "--rounds", "3000", "--seed", "5"]
+    out_csv = str(tmp_path / "grid.csv")
+    commands = [
+        ["simulate", gisin_file, "--rounds", "0"],
+        sim + ["--with-filtering", "--chsh-fraction", "0.3"],
+        sim,
+        ["analyze", gisin_file],
+        ["filter", gisin_file],
+        ["sweep", "--family", "gisin", "--alpha", "0.5:0.9:3",
+         "--mu", "0.5:0.9:2", "--out", out_csv],
+    ]
+
+    def results(order):
+        cli._build_parser.cache_clear()
+        got = {}
+        for i in order:
+            code, out, err = run(capsys, commands[i])
+            if commands[i][0] == "sweep":
+                out += Path(out_csv).read_text()
+            got[i] = (code, out, err)
+        assert cli._build_parser.cache_info().misses == 1
+        return got
+
+    forward = results(range(len(commands)))
+    backward = results(reversed(range(len(commands))))
+    assert backward == forward
+    assert [forward[i][0] for i in range(len(commands))] == [64, 0, 0, 0, 0, 0]
+    assert forward[1][1] != forward[2][1]
 
 
 def test_python_m_bellqkd_help():

@@ -91,6 +91,8 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         protocol_sim.SimConfig(rounds=-5, seed=1)
     with pytest.raises(ValueError):
+        protocol_sim.SimConfig(rounds=10, seed=-1)
+    with pytest.raises(ValueError):
         protocol_sim.SimConfig(rounds=10, seed=1, chsh_test_fraction=1.0)
     with pytest.raises(ValueError):
         protocol_sim.SimConfig(rounds=10, seed=1, chsh_test_fraction=-0.1)

@@ -19,8 +19,8 @@ MAX_LITERALS = {
     "__main__.py": 0,
     "cli.py": 0,
     "filtering.py": 18,
-    "metrics.py": 6,
-    "protocol_sim.py": 5,
+    "metrics.py": 5,
+    "protocol_sim.py": 4,
     "states.py": 4,
 }
 
