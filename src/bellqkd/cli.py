@@ -9,7 +9,6 @@ diff cleanly across runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -200,16 +199,6 @@ def _parse_range(text: str, lo: float, hi: float) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.6g}"
-
-
 # Cells per call of filtered_key_rate_batch, written to the CSV before the
 # next call, so a sweep of any size holds one chunk of states and rows. The
 # temporaries of a call grow with its size: the 2,450-cell sweep in one call
@@ -235,14 +224,13 @@ def _cmd_sweep(args) -> int:
     tmp = f"{args.out}.{os.getpid()}.part"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
+            fh.write(",".join(SWEEP_COLUMNS) + "\r\n")
             for i in range(0, len(al_cells), _SWEEP_CHUNK):
                 al = al_cells[i:i + _SWEEP_CHUNK]
                 mu = mu_cells[i:i + _SWEEP_CHUNK]
                 out = filtering.filtered_key_rate_batch(
                     states._gisin_rho(al, mu))
-                writer.writerows(_sweep_rows(al, mu, out))
+                fh.writelines(_sweep_rows(al, mu, out))
         os.replace(tmp, args.out)
     except ValueError as e:  # a vanishing p_succ
         raise _CliError(EXIT_INVALID_STATE, str(e))
@@ -254,20 +242,26 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# one CSV line per cell, in SWEEP_COLUMNS order: CRLF line ends and no
+# quoting are the frozen byte format
+_ROW = "%.6g,%.6g,%.6g,%.6g,%s,true,%.6g,%.6g,%.6g,%.6g\r\n"
+_ROW_NOT_FILTERABLE = "%.6g,%.6g,%.6g,%.6g,%s,false,,,,%.6g\r\n"
+
+
 def _sweep_rows(alphas, mus, out: filtering.BatchOutcome):
     def sq_sum(lam):  # float_power rounds as the ** of one float does
         return np.float_power(lam[:, 0], 2) + np.float_power(lam[:, 1], 2)
 
     lb, la = out.lambdas_before, out.lambdas_after
-    cells = zip(alphas.tolist(), mus.tolist(), sq_sum(lb).tolist(),
-                (lb[:, 0] + lb[:, 1]).tolist(),
-                [r.value for r in out.region_before],
-                out.filterable.tolist(), out.p_succ.tolist(),
-                sq_sum(la).tolist(), (la[:, 0] + la[:, 1]).tolist(),
-                out.r_filtered.tolist())
-    for *before, filterable, p, sq_after, sum_after, r in cells:
-        after = [p, sq_after, sum_after] if filterable else [None] * 3
-        yield [_csv_cell(x) for x in (*before, filterable, *after, r)]
+    cols = np.column_stack([alphas, mus, sq_sum(lb), lb[:, 0] + lb[:, 1],
+                            out.p_succ, sq_sum(la), la[:, 0] + la[:, 1],
+                            out.r_filtered]).tolist()
+    for (al, mu, sq, s, *after, r), region, filterable in zip(
+            cols, out.region_before, out.filterable.tolist()):
+        if filterable:
+            yield _ROW % (al, mu, sq, s, region.value, *after, r)
+        else:
+            yield _ROW_NOT_FILTERABLE % (al, mu, sq, s, region.value, r)
 
 
 # built once per process: parse_args keeps no state in the parser, and a

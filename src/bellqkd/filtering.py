@@ -159,13 +159,23 @@ class FilterPair:
             object.__setattr__(self, name, a)
             if a.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {a.shape}")
-            if np.linalg.norm(a, 2) > 1.0 + _NORM_TOL:
+            if not _norm_ok(a):
                 raise ValueError(f"{name} has operator norm > 1")
 
 
 def _norm_ok(f: np.ndarray) -> np.ndarray:
-    # FilterPair's check over a stack; singular values come largest first
-    return ~(np.linalg.svd(f, compute_uv=False)[:, 0] > 1.0 + _NORM_TOL)
+    """Operator norm at most 1 + _NORM_TOL, for a 2x2 filter or a stack;
+    a filter with a NaN entry fails.
+
+    The norm squared is the top eigenvalue of h = f^dag f, in closed form;
+    unlike the one from |f|_F and |det f|, it keeps the unitaries' 1 to
+    1e-15."""
+    a = np.abs(f[..., 0, 0]) ** 2 + np.abs(f[..., 1, 0]) ** 2
+    d = np.abs(f[..., 0, 1]) ** 2 + np.abs(f[..., 1, 1]) ** 2
+    h01 = (f[..., 0, 0].conj() * f[..., 0, 1]
+           + f[..., 1, 0].conj() * f[..., 1, 1])
+    top = (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(h01))
+    return top <= (1.0 + _NORM_TOL) ** 2
 
 
 @dataclass(frozen=True)

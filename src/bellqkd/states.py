@@ -16,6 +16,7 @@ Conventions fixed here and inherited by every other module: Pauli order
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ PAULI = (np.eye(2, dtype=complex), _SX, _SY, _SZ)
 
 # KRON[i, j] = sigma_i x sigma_j, precomputed for the Mueller conversions
 _KRON = np.array([[np.kron(a, b) for b in PAULI] for a in PAULI])
+# _RHO_TO_M[4b + a, 4i + j] = KRON[i, j, a, b], so rho flattened times it is
+# M flattened; over a stack it gives each state's M bit for bit
+_RHO_TO_M = _KRON.transpose(3, 2, 0, 1).reshape(16, 16)
 
 # tolerances for physical-state validation
 _HERM_TOL = 1e-12
@@ -119,6 +123,11 @@ class ValidityReport:
     failures: tuple = ()
 
 
+def _is_number(x) -> bool:
+    # JSON's true and false arrive as bool, which Python counts as an int
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parametric state family: bell(label), werner(p), or gisin(alpha, mu).
@@ -137,6 +146,10 @@ class FamilySpec:
     depolarize_p: float | None = None
 
     def __post_init__(self):
+        for name in ("p", "alpha", "mu", "depolarize_p"):
+            x = getattr(self, name)
+            if x is not None and not _is_number(x):
+                raise StateFileError(f"{name} must be a number, got {x!r}")
         if self.variant == "bell":
             if self.label not in ("phi+", "phi-", "psi+", "psi-"):
                 raise StateFileError(f"unknown bell label: {self.label!r}")
@@ -179,7 +192,8 @@ def _pauli_rho(m: np.ndarray) -> np.ndarray:
 
 def _mueller(rho: np.ndarray) -> np.ndarray:
     # M_ij = Tr[rho (sigma_i x sigma_j)], over a stack of rho
-    return np.einsum("ijab,...ba->...ij", _KRON, rho).real
+    flat = rho.reshape(rho.shape[:-2] + (16,)) @ _RHO_TO_M
+    return flat.reshape(rho.shape).real
 
 
 def validate(state: TwoQubitState) -> ValidityReport:
@@ -304,6 +318,9 @@ def parse_state_spec(doc: dict) -> TwoQubitState:
         if arr.shape != (4, 4, 2):
             raise StateFileError(
                 f'"matrix" must be 4x4 with [re, im] entries, got shape {arr.shape}')
+        if not (np.isfinite(arr).all()
+                and all(map(_is_number, np.array(raw, dtype=object).flat))):
+            raise StateFileError('"matrix" entries must be finite numbers')
         state = TwoQubitState(arr[..., 0] + 1j * arr[..., 1])
     else:
         fam = doc["family"]
@@ -324,7 +341,7 @@ def parse_state_spec(doc: dict) -> TwoQubitState:
 
     if "depolarize" in doc:
         p = doc["depolarize"]
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        if not _is_number(p) or not 0.0 <= p <= 1.0:
             raise StateFileError(f'"depolarize" must be a number in [0,1], got {p!r}')
         state = depolarize(state, float(p))
     return state

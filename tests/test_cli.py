@@ -1,5 +1,6 @@
 import csv
 import importlib.resources
+import io
 import json
 import math
 import subprocess
@@ -124,6 +125,33 @@ def test_analyze_unknown_keys(capsys, tmp_path):
                  {"family": {"variant": "bell", "label": "psi-"}, "oops": 1})
     code, _, err = run(capsys, ["analyze", path])
     assert code == 64 and "oops" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": {"variant": "gisin", "alpha": "x", "mu": 0.5}},
+    {"family": {"variant": "gisin", "alpha": 0.5, "mu": [0.5]}},
+    {"family": {"variant": "werner", "p": "0.5"}},
+    {"family": {"variant": "werner", "p": True}},
+    {"family": {"variant": "werner", "p": 0.5}, "depolarize": True},
+])
+def test_non_number_family_parameters_exit_64(capsys, tmp_path, doc):
+    path = write(tmp_path, "state.json", doc)
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 64 and out == ""
+    assert err.startswith("error: malformed state file: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "filter"])
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN", '"0.0"',
+                                   "false"])
+def test_non_number_matrix_entries_exit_64(capsys, tmp_path, command, entry):
+    text = json.dumps(matrix_doc(np.eye(4) / 4)).replace("0.0", entry, 1)
+    assert entry in text
+    p = tmp_path / "state.json"
+    p.write_text(text)
+    code, out, err = run(capsys, [command, str(p)])
+    assert code == 64 and out == ""
+    assert err.startswith("error: malformed state file: ")
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +441,77 @@ def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
     assert err == "error: not proper orthochronous (stand-in)\n"
     assert out_path.read_text() == "kept\n"
     assert list(tmp_path.iterdir()) == [out_path]
+
+
+SWEEP_FROZEN = (
+    "alpha,mu,lam_sq_sum,lam_sum,region,filterable,p_succ,lam_sq_sum_after,"
+    "lam_sum_after,r_filtered\r\n"
+    "0.3,0.55,0.198198,0.6296,NonviolatingUnusable,true,0.240518,0.338847,"
+    "0.823222,0\r\n"
+    "0.3,0.7,0.321048,0.801309,NonviolatingUnusable,true,0.220346,0.653977,"
+    "1.14366,0\r\n"
+    "0.3,0.85,0.726691,1.18651,NonviolatingUnusable,true,0.200173,1.16843,"
+    "1.52868,0\r\n"
+    "0.3,1,1.3276,1.57236,ViolatingUsable,true,0.18,2,2,0.18\r\n"
+    "0.6,0.55,0.557568,1.056,NonviolatingUnusable,true,0.7335,0.582935,"
+    "1.07975,0\r\n"
+    "0.6,0.7,0.903168,1.344,NonviolatingUnusable,true,0.729,0.955952,"
+    "1.38272,0\r\n"
+    "0.6,0.85,1.33171,1.632,ViolatingUsable,true,0.7245,1.42711,1.68944,"
+    "0.153873\r\n"
+    "0.6,1,1.9216,1.96,ViolatingUsable,true,0.72,2,2,0.72\r\n"
+    "0.9,0.55,0.372438,0.863062,NonviolatingUnusable,true,0.426945,0.479268,"
+    "0.979049,0\r\n"
+    "0.9,0.7,0.603288,1.09844,NonviolatingUnusable,true,0.411297,0.836533,"
+    "1.29347,0\r\n"
+    "0.9,0.85,0.934771,1.36691,NonviolatingUnusable,true,0.395648,1.33296,"
+    "1.63276,0.0455153\r\n"
+    "0.9,1,1.6156,1.7846,ViolatingUsable,true,0.38,2,2,0.38\r\n")
+
+
+def test_sweep_bytes_frozen(capsys, tmp_path):
+    """The CSV bytes of a small grid with the pure mu = 1 row: CRLF line
+    ends, no quoting, 6 significant digits."""
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, ["sweep", "--family", "gisin",
+                              "--alpha", "0.3:0.9:3", "--mu", "0.55:1:4",
+                              "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_bytes() == SWEEP_FROZEN.encode()
+
+
+def test_sweep_rows_not_filterable(capsys, tmp_path, monkeypatch):
+    """Cells that are not filterable leave the three after-cells empty. No
+    Gisin cell is one, so the grid's states are swapped for an X state and
+    the maximally mixed state among filterable ones; the expected bytes
+    come from csv.writer with f"{x:.6g}" cells."""
+    stack = np.array([RHO_X_ROWS, np.eye(4) / 4,
+                      states._gisin_rho(0.9, 0.85), x_mixture(0.6, 1),
+                      states._gisin_rho(0.3, 1.0)], dtype=complex)
+    monkeypatch.setattr(states, "_gisin_rho", lambda alpha, mu: stack)
+    out_path = tmp_path / "rows.csv"
+    code, _, _ = run(capsys, ["sweep", "--family", "gisin",
+                              "--alpha", "0.1:0.9:5", "--mu", "0.5:0.5:1",
+                              "--out", str(out_path)])
+    assert code == 0
+    out = filtering.filtered_key_rate_batch(stack)
+    assert out.filterable.tolist() == [False, False, True, False, True]
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(cli.SWEEP_COLUMNS)
+    for k, al in enumerate(np.linspace(0.1, 0.9, 5).tolist()):
+        lb, la = out.lambdas_before[k].tolist(), out.lambdas_after[k].tolist()
+        after = ([out.p_succ[k], la[0] ** 2 + la[1] ** 2, la[0] + la[1]]
+                 if out.filterable[k] else None)
+        writer.writerow([f"{al:.6g}", f"{0.5:.6g}",
+                         f"{lb[0] ** 2 + lb[1] ** 2:.6g}",
+                         f"{lb[0] + lb[1]:.6g}", out.region_before[k].value,
+                         "true" if out.filterable[k] else "false",
+                         *([f"{x:.6g}" for x in after] if after else
+                           ["", "", ""]),
+                         f"{out.r_filtered[k]:.6g}"])
+    assert out_path.read_bytes() == want.getvalue().encode()
+    assert b",false,,,,0\r\n" in out_path.read_bytes()
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "is_dir"])

@@ -143,6 +143,28 @@ def test_filter_pair_norm_bound():
     assert np.abs(pair.n1 - np.eye(2) * 0.5).max() == 0
 
 
+def test_norm_check_closed_form():
+    """The closed-form norm check passes unitaries, stacked and through
+    FilterPair, fails a norm of 1 + 1e-9 and NaN entries, and puts the
+    bound where the SVD's top singular value puts it, to 1e-14 relative."""
+    rng = np.random.default_rng(23)
+    u = np.array([haar_su2(rng) * np.exp(2j * np.pi * rng.uniform())
+                  for _ in range(2000)])
+    assert filtering._norm_ok(u).all()
+    for a, b in zip(u[:100], u[100:200]):
+        filtering.FilterPair(m1=a, n1=b)
+    over = u * (1.0 + 1e-9)
+    assert not filtering._norm_ok(over).any()
+    with pytest.raises(ValueError):
+        filtering.FilterPair(m1=u[0], n1=over[1])
+    assert not filtering._norm_ok(np.full((2, 2), np.nan))
+    f = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
+    f /= np.linalg.svd(f, compute_uv=False)[:, 0, None, None]
+    bound = 1.0 + filtering._NORM_TOL
+    assert filtering._norm_ok(f * (bound * (1.0 - 1e-14))).all()
+    assert not filtering._norm_ok(f * (bound * (1.0 + 1e-14))).any()
+
+
 # ---------------------------------------------------------------------------
 # normal form
 

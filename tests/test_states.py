@@ -55,6 +55,24 @@ def test_to_mueller_row_column_conventions():
     assert np.allclose(m[1:, 1:], T, atol=1e-13)
 
 
+def test_mueller_stack_equals_one_by_one():
+    """_mueller over a stack gives each matrix's M bit for bit (the batch
+    path's spectra equal the one-state path's on that), and M agrees with
+    Tr[rho (sigma_i x sigma_j)]."""
+    rng = np.random.default_rng(17)
+    rhos = np.array([random_density_matrix(rng, rank=k % 4 + 1)
+                     for k in range(300)])
+    raw = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+    for stack in (rhos, raw):
+        m = states._mueller(stack)
+        for rho, mk in zip(stack, m):
+            assert np.array_equal(states._mueller(rho), mk)
+    for rho, mk in zip(rhos, states._mueller(rhos)):
+        want = [[np.trace(rho @ np.kron(a, b)).real for b in PAULI]
+                for a in PAULI]
+        assert np.abs(mk - want).max() <= 1e-15
+
+
 def test_from_mueller_round_trip():
     rng = np.random.default_rng(5)
     rho = random_density_matrix(rng)
