@@ -27,7 +27,9 @@ d <= 0. Pure product states are the X pattern (1, 1, 1, 0) outright.
 
 The Diagonal route works on stacks of states: normal_form runs it on one,
 filtered_key_rate_batch on chunks of many, and a state that fails one of
-its checks there goes through filtered_key_rate on its own.
+its checks there goes through filtered_key_rate on its own. Neither applies
+the filters: the filtered state's Mueller matrix is sigma / sigma0, and
+|det f| = 1 / (w0 + |w|) makes p_succ = sigma0 / ((u0 + |u|)(v0 + |v|)).
 
 Entanglement measures (Wootters concurrence, entanglement of formation)
 live here too since the filtering analysis is what consumes them.
@@ -164,8 +166,8 @@ class FilterPair:
 
 
 def _norm_ok(f: np.ndarray) -> np.ndarray:
-    """Operator norm at most 1 + _NORM_TOL, for a 2x2 filter or a stack;
-    a filter with a NaN entry fails.
+    """Operator norm at most 1 + _NORM_TOL, for a 2x2 filter; a filter
+    with a NaN entry fails.
 
     The norm squared is the top eigenvalue of h = f^dag f, in closed form;
     unlike the one from |f|_F and |det f|, it keeps the unitaries' 1 to
@@ -214,7 +216,6 @@ class MetricsSummary:
 
 @dataclass(frozen=True)
 class FilterOutcome:
-    filtered: TwoQubitState
     p_succ: float
     before: MetricsSummary
     after: MetricsSummary
@@ -534,40 +535,55 @@ def optimal_filters(state: TwoQubitState) -> FilterPair:
     pattern instead, and :class:`TrivialNormalFormError` for the maximally
     mixed state.
     """
-    m = to_mueller(state)
-    trivial, bell, product = _routes(m.m[None])
+    return _optimal(to_mueller(state))[0]
+
+
+def _optimal(m: MuellerMatrix):
+    # optimal_filters of the state with Mueller matrix m, their p_succ and
+    # the (1, 4, 4) sigma; l = boost(w) R has the inverse R^T boost(G w),
+    # whose filter is U(R^T) H(G w) / sqrt(w0 + |w|)
+    M = m.m[None]
+    trivial, bell, product = _routes(M)
     if bell[0] and not trivial[0]:
-        return FilterPair(m1=np.eye(2), n1=np.eye(2))
+        return FilterPair(m1=np.eye(2), n1=np.eye(2)), min(M[0, 0, 0], 1.0), M
     if not (trivial[0] or product[0]):
-        f, ok = _filters(m.m[None])
+        uv, rot, sigma, ok = _diagonal_form(M)
         if ok[0]:
-            return FilterPair(m1=f[0], n1=f[1])
+            f = (_rotation_filter(rot.swapaxes(-1, -2))
+                 @ _boost_filter(uv * _GD))
+            return FilterPair(m1=f[0], n1=f[1]), _p_succ(uv, sigma)[0], sigma
     a, b, c, d = normal_form(m).xform_params
     raise XFormError(a, b, c, d)
 
 
-def _filters(M: np.ndarray):
-    # optimal_filters over a stack: Alice's filters, then Bob's, and
-    # _diagonal_form's mask. l = boost(w) R has the inverse R^T boost(G w),
-    # whose filter is U(R^T) H(G w) / sqrt(w0 + |w|).
-    uv, rot, _, ok = _diagonal_form(M)
-    return _rotation_filter(rot.swapaxes(-1, -2)) @ _boost_filter(uv * _GD), ok
+def _p_succ(uv: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    # p_succ of the filters of _diagonal_form's uv and sigma, over a stack:
+    # each has |det f| = 1 / (w0 + |w|), and they take M to sigma. p <= 1
+    # for filters of norm 1; round-off can put it an ulp above.
+    w = uv[:, 0] + np.linalg.norm(uv[:, 1:], axis=-1)
+    n = len(sigma)
+    return np.minimum(sigma[:, 0, 0] / (w[:n] * w[n:]), 1.0)
+
+
+def _after_spectra(sigma: np.ndarray):
+    # correlation_spectrum of the filtered states, whose Mueller matrices
+    # are sigma / sigma0, over a stack: lambdas, the axes they lie along,
+    # and signs; lambdas sorted descending, ties in axis order
+    d = np.diagonal(sigma, axis1=-2, axis2=-1)[:, 1:] / sigma[:, :1, 0]
+    axes = np.argsort(-np.abs(d), axis=-1, kind="stable")
+    d = np.take_along_axis(d, axes, axis=-1)
+    return np.abs(d), axes, np.where(d < 0.0, -1.0, 1.0)
 
 
 def apply_filters(state: TwoQubitState, pair: FilterPair):
     """Post-selected state (M1 x N1) rho (M1 x N1)^dag / p and its p_succ."""
-    out, p = _apply_filters(state.rho[None], pair.m1[None], pair.n1[None])
-    if p[0] <= _P_FLOOR:
-        raise ValueError("vanishing success probability")
-    return TwoQubitState(out[0] / p[0]), float(p[0])
-
-
-def _apply_filters(rho, m1, n1):
-    # apply_filters over a stack: the unnormalised outputs and their traces
-    K = (m1[:, :, None, :, None] * n1[:, None, :, None, :]).reshape(-1, 4, 4)
-    out = K @ rho @ K.conj().swapaxes(-1, -2)
+    K = np.kron(pair.m1, pair.n1)
+    out = K @ state.rho @ K.conj().T
     # p <= 1 for filters of norm <= 1; round-off can put it an ulp above
-    return out, np.minimum(np.trace(out, axis1=-2, axis2=-1).real, 1.0)
+    p = min(float(np.trace(out).real), 1.0)
+    if not p > _P_FLOOR:
+        raise ValueError("vanishing success probability")
+    return TwoQubitState(out / p), p
 
 
 # ---------------------------------------------------------------------------
@@ -616,38 +632,33 @@ def entanglement_report(state: TwoQubitState) -> EntanglementReport:
 
 def summarize_metrics(state: TwoQubitState) -> MetricsSummary:
     """Spectrum, CHSH optimum, 2-basis QBER, key rate, and region."""
-    spec = _metrics.correlation_spectrum(state)
-    q = _metrics.qber(spec, 2)
-    km = _metrics.key_rate_symmetric(q)
-    return MetricsSummary(
-        spectrum=spec,
-        s_max=_metrics.chsh_max(spec),
-        q=q,
-        r_min=km.r_min,
-        distillable=km.distillable,
-        region=_metrics.classify(spec),
-    )
+    return _summary(_metrics.correlation_spectrum(state))
+
+
+def _summary(spec: _metrics.CorrelationSpectrum) -> MetricsSummary:
+    km = _metrics.key_rate_symmetric(_metrics.qber(spec, 2))
+    return MetricsSummary(spectrum=spec, s_max=_metrics.chsh_max(spec),
+                          q=km.q, r_min=km.r_min, distillable=km.distillable,
+                          region=_metrics.classify(spec))
 
 
 def filtered_key_rate(state: TwoQubitState) -> FilterOutcome:
-    """Optimal filtering pipeline: filters, filtered state, rate r = p * r_min.
+    """Optimal filtering pipeline: filters, filtered spectrum, r = p * r_min.
 
-    r_filtered = p_succ * max(0, r_min(after)); X-form states raise
-    :class:`XFormError`, the maximally mixed state raises
-    :class:`TrivialNormalFormError`.
+    r_filtered = p_succ * max(0, r_min(after)), both read off the normal
+    form; X-form states raise :class:`XFormError`, the maximally mixed
+    state raises :class:`TrivialNormalFormError`.
     """
     before = summarize_metrics(state)
-    pair = optimal_filters(state)
-    filtered, p = apply_filters(state, pair)
-    after = summarize_metrics(filtered)
-    return FilterOutcome(
-        filtered=filtered,
-        p_succ=p,
-        before=before,
-        after=after,
-        r_filtered=float(p * max(0.0, after.r_min)),
-        filters=pair,
-    )
+    pair, p, sigma = _optimal(to_mueller(state))
+    if not p > _P_FLOOR:
+        raise ValueError("vanishing success probability")
+    lam, axes, signs = (x[0] for x in _after_spectra(sigma))
+    dirs = _I4[1:, 1:][axes]
+    after = _summary(_metrics.CorrelationSpectrum(lam, dirs, dirs, signs))
+    return FilterOutcome(p_succ=float(p), before=before, after=after,
+                         r_filtered=float(p * max(0.0, after.r_min)),
+                         filters=pair)
 
 
 @dataclass(frozen=True)
@@ -688,10 +699,12 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     p = np.full(n, np.nan)
     lam_after = np.full((n, 3), np.nan)
     idx = np.flatnonzero(~np.logical_or.reduce(_routes(M)))
-    p_diag, lam_diag, ok = _filter_stack(rhos[idx], M[idx])
+    uv, _, sigma, ok = _diagonal_form(M[idx])
+    p_diag = _p_succ(uv, sigma)
+    ok &= p_diag > _P_FLOOR
     stacked = np.zeros(n, dtype=bool)
     stacked[idx[ok]] = True
-    p[stacked], lam_after[stacked] = p_diag[ok], lam_diag[ok]
+    p[stacked], lam_after[stacked] = p_diag[ok], _after_spectra(sigma[ok])[0]
     r = p * np.maximum(0.0, _metrics._r_min(_metrics._qber(lam_after, 2)))
     filterable = stacked.copy()
     for i in np.flatnonzero(~stacked):
@@ -706,16 +719,3 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     region = _metrics._REGIONS[_metrics._region_index(lam)]
     return BatchOutcome(lam, region, filterable, p, lam_after, r)
 
-
-def _filter_stack(rhos: np.ndarray, M: np.ndarray):
-    """normal_form's Diagonal route, optimal_filters and apply_filters over a
-    stack: p_succ, the filtered states' spectra, and the mask of states that
-    pass every check of the one-state path."""
-    n = len(M)
-    f, ok = _filters(M)
-    good = _norm_ok(f)
-    ok &= good[:n] & good[n:]
-    out, p = _apply_filters(rhos, f[:n], f[n:])
-    ok &= ~(p <= _P_FLOOR)
-    rho_f = out / np.where(ok, p, 1.0)[:, None, None]
-    return p, _metrics._spectra(_states._mueller(rho_f))[0], ok

@@ -202,8 +202,9 @@ def validate(state: TwoQubitState) -> ValidityReport:
     herm_dev = np.abs(rho - rho.conj().T).max()
     hermitian = bool(herm_dev <= _HERM_TOL)
     trace_dev = float(abs(np.trace(rho) - 1.0))
-    # eigvalsh is only meaningful on the Hermitized matrix
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
+    # eigvalsh is only meaningful on the Hermitized matrix; halving before
+    # the sum keeps it finite for entries near the largest float
+    min_eig = float(np.linalg.eigvalsh(rho / 2.0 + rho.conj().T / 2.0).min())
     failures = []
     if not hermitian:
         failures.append(f"not Hermitian (max deviation {herm_dev:.3e})")

@@ -154,6 +154,20 @@ def test_non_number_matrix_entries_exit_64(capsys, tmp_path, command, entry):
     assert err.startswith("error: malformed state file: ")
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["filter"],
+                                     ["simulate", "--rounds", "100"]])
+def test_huge_matrix_entries_exit_1(capsys, tmp_path, command):
+    """Finite entries near the largest float give an invalid state, not a
+    traceback: validate's Hermitized matrix must not overflow."""
+    rho = np.eye(4) / 4
+    rho[0, 1] = rho[1, 0] = 1e308
+    path = write(tmp_path, "huge.json", matrix_doc(rho))
+    code, out, err = run(capsys, [command[0], path, *command[1:]])
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid state: ")
+    assert "negative eigenvalue" in err
+
+
 # ---------------------------------------------------------------------------
 # filter
 
@@ -262,8 +276,9 @@ def test_filter_filtered_nearly_product_pure_states_exit_in_contract(
         lam_min = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)[-1]
         assert abs(doc["p_succ"] / (2.0 * lam_min ** 2) - 1.0) < 1e-6, i
         # the report rounds the filters to 9 digits: whiten with the library's
-        mo = states.to_mueller(filtering.filtered_key_rate(
-            states.TwoQubitState(rho)).filtered).m
+        st = states.TwoQubitState(rho)
+        pair = filtering.filtered_key_rate(st).filters
+        mo = states.to_mueller(filtering.apply_filters(st, pair)[0]).m
         assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) <= 1e-7, i
 
 
