@@ -487,6 +487,16 @@ def _routes(M: np.ndarray):
             near(M[:, :, :1] * M[:, :1, :]) & ((m * m).sum(-1) > 4.0 - 1e-12))
 
 
+# the X pattern of every pure product state
+_PRODUCT_PARAMS = (1.0, 1.0, 1.0, 0.0)
+
+
+def _x_params(sigma: np.ndarray) -> tuple:
+    # the (a, b, c, d) of an X-patterned sigma
+    return tuple(float(sigma[i, j]) + 0.0
+                 for i, j in ((0, 0), (0, 3), (3, 0), (1, 1)))
+
+
 def normal_form(m: MuellerMatrix) -> NormalForm:
     """Decompose m = l1 . sigma . l2^T under proper orthochronous transforms.
 
@@ -508,18 +518,16 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
         return NormalForm(kind=XFORM, l1=_rotation_to(M[1:, 0]),
                           l2=_rotation_to(M[0, 1:]),
                           sigma=np.outer(_E_PLUS, _E_PLUS),
-                          xform_params=(1.0, 1.0, 1.0, 0.0))
+                          xform_params=_PRODUCT_PARAMS)
     uv, rot, Sigma, ok = _diagonal_form(M[None])
     if ok[0]:
         L = _boost(uv) @ _spatial(rot)
         return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L[0]),
                           l2=LorentzTransform(L[1]), sigma=Sigma[0])
     L1, L2, Sigma = _x_form(M)
-    params = tuple(float(Sigma[i, j]) + 0.0
-                   for i, j in ((0, 0), (0, 3), (3, 0), (1, 1)))
     return NormalForm(kind=XFORM, l1=LorentzTransform(L1),
                       l2=LorentzTransform(L2), sigma=Sigma,
-                      xform_params=params)
+                      xform_params=_x_params(Sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +560,11 @@ def _optimal(m: MuellerMatrix):
             f = (_rotation_filter(rot.swapaxes(-1, -2))
                  @ _boost_filter(uv * _GD))
             return FilterPair(m1=f[0], n1=f[1]), _p_succ(uv, sigma)[0], sigma
-    a, b, c, d = normal_form(m).xform_params
-    raise XFormError(a, b, c, d)
+    if trivial[0]:
+        raise TrivialNormalFormError("normal form undefined/trivial")
+    if product[0]:
+        raise XFormError(*_PRODUCT_PARAMS)
+    raise XFormError(*_x_params(_x_form(M[0])[2]))
 
 
 def _p_succ(uv: np.ndarray, sigma: np.ndarray) -> np.ndarray:

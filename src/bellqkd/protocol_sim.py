@@ -11,8 +11,11 @@ Randomness comes from numpy's counter-based Philox generator, consumed
 in blocks of fixed size with a fixed per-block draw order (filter
 uniform when filtering is on, test flag, Alice index, Bob index, outcome
 uniform), so a (state, config) pair reproduces its report bit for bit.
-Every count in the report is read from one 8x4 table of accepted rounds
-by (row = 4 is_test + 2 a + b, outcome), one bincount per block.
+Each draw is read in slices, which give the numbers of one call, so a
+block holds one int8 code per round and a run's memory does not grow
+with its rounds. Every count in the report is read from one 8x4 table of
+accepted rounds by (row = 4 is_test + 2 a + b, outcome), one bincount
+per slice.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = ["SimConfig", "SimReport", "born_joint_distribution",
            "run_protocol"]
 
 _BLOCK = 1 << 19  # draw-block length; part of the reproducibility contract
+_SLICE = 1 << 14  # rounds per read of a draw; any length gives the same draws
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,40 @@ def _filter_povm_probs(state: TwoQubitState, pair) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def _count_rounds(cum, p_keep: float, config: SimConfig) -> np.ndarray:
+    # (8, 4) counts of accepted rounds by (row, outcome k), outcome k the
+    # sign pair (+,+), (+,-), (-,+), (-,-). A block holds one int8 code per
+    # round, 8 drop + 4 is_test + 2 a + b, built draw by draw and counted
+    # per slice; rows 8..15 (dropped rounds) count into bins 32..63.
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    frac = config.chsh_test_fraction
+    # filter uniform (when filtering), test flag, Alice's and Bob's index
+    draws = ([lambda m: rng.random(m) >= p_keep] * config.with_filtering
+             + [lambda m: rng.random(m) < frac]
+             + [lambda m: rng.integers(0, 2, size=m)] * 2)
+    bounds = np.tile(cum, 2)
+    N = np.zeros(64, dtype=np.int64)
+    left = int(config.rounds)
+    while left > 0:
+        n = min(_BLOCK, left)
+        left -= n
+        row = np.zeros(n, dtype=np.int8)
+        cuts = [(s, min(s + _SLICE, n)) for s in range(0, n, _SLICE)]
+        for draw in draws:
+            for s, e in cuts:
+                r = row[s:e]
+                r <<= 1
+                r |= draw(e - s)
+        for s, e in cuts:
+            r = row[s:e]
+            uo = rng.random(e - s)
+            key = 4 * r
+            for bound in bounds:
+                key += uo > bound.take(r)
+            N += np.bincount(key, minlength=64)
+    return N[:32].reshape(8, 4)
+
+
 def run_protocol(state: TwoQubitState, config: SimConfig) -> SimReport:
     """Simulate the protocol and report empirical QBER, CHSH and counts.
 
@@ -132,26 +170,7 @@ def run_protocol(state: TwoQubitState, config: SimConfig) -> SimReport:
     # the uniform; one contiguous column per bound gathers fastest
     cum = np.ascontiguousarray(np.cumsum(table, axis=1).T[:3])
 
-    # N[4 row + k] counts accepted rounds; outcome k is the sign pair
-    # (+,+), (+,-), (-,+), (-,-)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    N = np.zeros(32, dtype=np.int64)
-    left = int(config.rounds)
-    while left > 0:
-        n = min(_BLOCK, left)
-        left -= n
-        keep = (rng.random(n) < p_keep if config.with_filtering
-                else slice(None))
-        row = 4 * (rng.random(n) < config.chsh_test_fraction)
-        row += 2 * rng.integers(0, 2, size=n)
-        row += rng.integers(0, 2, size=n)
-        uo = rng.random(n)
-        key = 4 * row
-        for bound in cum:
-            key += uo > bound[row]
-        N += np.bincount(key[keep], minlength=32)
-    N = N.reshape(8, 4)
-
+    N = _count_rounds(cum, p_keep, config)
     accepted = int(N.sum())
     sifted = int(N[0].sum() + N[3].sum())
     if sifted == 0:

@@ -407,6 +407,44 @@ def test_xform_error_separable_note_when_d_zero():
     assert "d=0 corresponds to a separable initial state" in str(exc.value)
 
 
+def test_optimal_filters_xform_error_matches_normal_form():
+    """optimal_filters raises without a second normal form: its XFormError
+    carries the fields and message normal_form's xform_params give, on X
+    states of rank 2 and 3, filtered and not, and on pure products."""
+    rng = np.random.default_rng(83)
+    rhos = [RHO_X]
+    for k in range(40):
+        lam, slot = rng.uniform(0.05, 0.95), 1 + k % 2
+        # part of the |01> or |10> weight moved onto |00>: rank 3
+        rank3 = x_mixture(lam, slot)
+        shift = rng.uniform(0.05, 0.5) * (1.0 - lam)
+        rank3[0, 0] += shift
+        rank3[slot, slot] -= shift
+        for r in (x_mixture(lam, slot), rank3):
+            rhos += [r, filtered(r, random_filter(rng, 0.05),
+                                 random_filter(rng, 0.05))]
+        a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in "ab")
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        rhos.append(np.outer(v, v.conj()))
+    ranks = set()
+    for rho in rhos:
+        st = states.TwoQubitState(rho)
+        ranks.add(int(np.linalg.matrix_rank(rho, tol=1e-9)))
+        want = filtering.XFormError(
+            *filtering.normal_form(states.to_mueller(st)).xform_params)
+        for call in (filtering.optimal_filters, filtering.filtered_key_rate):
+            with pytest.raises(filtering.XFormError) as exc:
+                call(st)
+            e = exc.value
+            assert (e.a, e.b, e.c, e.d, e.separable, str(e)) == (
+                want.a, want.b, want.c, want.d, want.separable, str(want))
+    assert ranks == {1, 2, 3}
+    mixed = states.TwoQubitState(np.eye(4, dtype=complex) / 4)
+    with pytest.raises(filtering.TrivialNormalFormError,
+                       match="normal form undefined/trivial"):
+        filtering.optimal_filters(mixed)
+
+
 def test_full_rank_product_state_stays_unentangled():
     rho = np.kron(np.diag([0.6, 0.4]),
                   np.array([[0.55, 0.1], [0.1, 0.45]])).astype(complex)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,91 @@ def test_reports_frozen():
     assert protocol_sim._BLOCK == 1 << 19
     for st, cfg, want in runs:
         assert protocol_sim.run_protocol(st, cfg) == want, cfg
+
+
+def test_slices_give_the_numbers_of_one_call():
+    """The simulator reads each draw in slices. numpy hands out the same
+    numbers either way: random takes one 64-bit word per value, and
+    integers(0, 2) one 32-bit half whose leftover stays in the bit
+    generator, across odd lengths and random calls in between."""
+    def uniforms(gen, m):
+        return gen.random(m)
+
+    def bits(gen, m):
+        return gen.integers(0, 2, size=m)
+
+    whole = np.random.Generator(np.random.Philox(17))
+    sliced = np.random.Generator(np.random.Philox(17))
+    for draw, n in [(uniforms, 1001), (bits, 999), (bits, 1000),
+                    (uniforms, 7), (bits, 3)]:
+        cuts = [c for c in (0, 1, 3, 336) if c < n] + [n]  # 1, 2, 333, rest
+        parts = [draw(sliced, m) for m in np.diff(cuts)]
+        assert np.array_equal(np.concatenate(parts), draw(whole, n)), n
+    assert np.array_equal(sliced.random(5), whole.random(5))
+
+
+def _old_count_rounds(cum, p_keep, config):
+    # the block loop before draws were read in slices: whole-block arrays
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    N = np.zeros(32, dtype=np.int64)
+    left = int(config.rounds)
+    while left > 0:
+        n = min(protocol_sim._BLOCK, left)
+        left -= n
+        keep = (rng.random(n) < p_keep if config.with_filtering
+                else slice(None))
+        row = 4 * (rng.random(n) < config.chsh_test_fraction)
+        row += 2 * rng.integers(0, 2, size=n)
+        row += rng.integers(0, 2, size=n)
+        uo = rng.random(n)
+        key = 4 * row
+        for bound in cum:
+            key += uo > bound[row]
+        N += np.bincount(key[keep], minlength=32)
+    return N.reshape(8, 4)
+
+
+def _report_or_error(st, cfg):
+    try:
+        return protocol_sim.run_protocol(st, cfg)
+    except ValueError as e:
+        return repr(e)
+
+
+def test_sliced_draws_match_whole_block_loop(monkeypatch):
+    """Reports equal those of the whole-block loop across slice and block
+    edges, with and without filtering, on states of rank 1 to 4 and psi-
+    depolarized (negative signs)."""
+    rng = np.random.default_rng(89)
+    sts = [states.TwoQubitState(random_density_matrix(rng, rank=k))
+           for k in (1, 2, 3, 4)] + [states.depolarize(SINGLET, 0.9)]
+    sl, bl = protocol_sim._SLICE, protocol_sim._BLOCK
+    rounds = [1, sl - 1, sl + 1, bl - 1, bl + 1, 700_001]
+    cfgs = [protocol_sim.SimConfig(rounds=n, seed=n % 101 + k,
+                                   with_filtering=filt,
+                                   chsh_test_fraction=frac)
+            for k, n in enumerate(rounds)
+            for filt in (False, True) for frac in (0.0, 0.1, 0.3)]
+    runs = [(st, c) for st in sts for c in cfgs]
+    new = [_report_or_error(*run) for run in runs]
+    assert sum(isinstance(r, str) for r in new) < len(new) // 4
+    monkeypatch.setattr(protocol_sim, "_count_rounds", _old_count_rounds)
+    for run, rep in zip(runs, new):
+        assert _report_or_error(*run) == rep, run[1]
+
+
+def test_run_memory_does_not_grow_with_rounds():
+    """A block holds one int8 code per round and every draw is read in
+    slices, so a long run stays within a few MiB of Python allocations."""
+    cfg = protocol_sim.SimConfig(rounds=2_000_000, seed=1,
+                                 with_filtering=True)
+    tracemalloc.start()
+    try:
+        protocol_sim.run_protocol(GISIN, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_filtering_requires_diagonal_form():
