@@ -543,28 +543,47 @@ def optimal_filters(state: TwoQubitState) -> FilterPair:
     pattern instead, and :class:`TrivialNormalFormError` for the maximally
     mixed state.
     """
-    return _optimal(to_mueller(state))[0]
+    return _filter_pair(_diagonal(to_mueller(state))[2])
 
 
-def _optimal(m: MuellerMatrix):
-    # optimal_filters of the state with Mueller matrix m, their p_succ and
-    # the (1, 4, 4) sigma; l = boost(w) R has the inverse R^T boost(G w),
-    # whose filter is U(R^T) H(G w) / sqrt(w0 + |w|)
+def _diagonal(m: MuellerMatrix):
+    # p_succ and (1, 4, 4) sigma of the optimal filters of Mueller matrix m,
+    # and the uv, rot of _diagonal_form they come from (None: identities)
     M = m.m[None]
     trivial, bell, product = _routes(M)
     if bell[0] and not trivial[0]:
-        return FilterPair(m1=np.eye(2), n1=np.eye(2)), min(M[0, 0, 0], 1.0), M
+        return min(M[0, 0, 0], 1.0), M, None
     if not (trivial[0] or product[0]):
         uv, rot, sigma, ok = _diagonal_form(M)
         if ok[0]:
-            f = (_rotation_filter(rot.swapaxes(-1, -2))
-                 @ _boost_filter(uv * _GD))
-            return FilterPair(m1=f[0], n1=f[1]), _p_succ(uv, sigma)[0], sigma
+            return _p_succ(uv, sigma)[0], sigma, (uv, rot)
     if trivial[0]:
         raise TrivialNormalFormError("normal form undefined/trivial")
     if product[0]:
         raise XFormError(*_PRODUCT_PARAMS)
     raise XFormError(*_x_params(_x_form(M[0])[2]))
+
+
+def _filter_pair(parts) -> FilterPair:
+    # the filters of _diagonal's uv, rot: l = boost(w) R has the inverse
+    # R^T boost(G w), whose filter is U(R^T) H(G w) / sqrt(w0 + |w|)
+    if parts is None:
+        return FilterPair(m1=np.eye(2), n1=np.eye(2))
+    uv, rot = parts
+    f = _rotation_filter(rot.swapaxes(-1, -2)) @ _boost_filter(uv * _GD)
+    return FilterPair(m1=f[0], n1=f[1])
+
+
+def _filtered_state(m: MuellerMatrix):
+    # _diagonal's p_succ (raising at or below _P_FLOOR), the filtered state's
+    # Mueller matrix sigma / sigma0, its correlation_spectrum, and the uv, rot
+    p, sigma, parts = _diagonal(m)
+    if not p > _P_FLOOR:
+        raise ValueError("vanishing success probability")
+    lam, axes, signs = (x[0] for x in _after_spectra(sigma))
+    dirs = _I4[1:, 1:][axes]
+    spec = _metrics.CorrelationSpectrum(lam, dirs, dirs, signs)
+    return float(p), sigma[0] / sigma[0, 0, 0], spec, parts
 
 
 def _p_succ(uv: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -661,15 +680,11 @@ def filtered_key_rate(state: TwoQubitState) -> FilterOutcome:
     state raises :class:`TrivialNormalFormError`.
     """
     before = summarize_metrics(state)
-    pair, p, sigma = _optimal(to_mueller(state))
-    if not p > _P_FLOOR:
-        raise ValueError("vanishing success probability")
-    lam, axes, signs = (x[0] for x in _after_spectra(sigma))
-    dirs = _I4[1:, 1:][axes]
-    after = _summary(_metrics.CorrelationSpectrum(lam, dirs, dirs, signs))
-    return FilterOutcome(p_succ=float(p), before=before, after=after,
+    p, _, spec, parts = _filtered_state(to_mueller(state))
+    after = _summary(spec)
+    return FilterOutcome(p_succ=p, before=before, after=after,
                          r_filtered=float(p * max(0.0, after.r_min)),
-                         filters=pair)
+                         filters=_filter_pair(parts))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class ChshSettings:
     def __post_init__(self):
         for name in ("a0", "a1", "b0", "b1"):
             a = np.array(getattr(self, name), dtype=float).reshape(3)
-            if abs(np.linalg.norm(a) - 1.0) > _UNIT_TOL:
+            if not abs(np.linalg.norm(a) - 1.0) <= _UNIT_TOL:  # NaN fails
                 raise ValueError(f"{name} must be a unit vector")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -155,9 +155,13 @@ def optimal_chsh_settings(spec: CorrelationSpectrum) -> ChshSettings:
 def chsh_value(state: TwoQubitState, settings: ChshSettings) -> float:
     """Bell-operator expectation a0.T(b0+b1) + a1.T(b0-b1)."""
     for v in (settings.a0, settings.a1, settings.b0, settings.b1):
-        if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails
             raise ValueError("measurement directions must be unit vectors")
-    T = to_mueller(state).t_block
+    return _chsh(to_mueller(state).t_block, settings)
+
+
+def _chsh(T: np.ndarray, settings: ChshSettings) -> float:
+    # chsh_value of the state with correlation block T
     return float(settings.a0 @ T @ (settings.b0 + settings.b1)
                  + settings.a1 @ T @ (settings.b0 - settings.b1))
 

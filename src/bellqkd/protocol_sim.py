@@ -1,7 +1,9 @@
 """Seeded Monte Carlo for the filter-then-measure QKD protocol.
 
-Each round optionally applies local filtering as a four-outcome
-measurement with post-selection on the double click, then both parties
+With filtering on, a round passes the optimal local filters with their
+success probability p_succ, the double-click probability, and kept rounds
+measure the filtered state sigma / sigma0 of the Lorentz normal form, both
+as filtered_key_rate reads them; no filter is built. Both parties then
 measure spin along randomly chosen directions: their two key bases, or
 the optimal CHSH settings for a test subsample. Sifting keeps key rounds
 with matching basis indices; Bob flips his bit in bases carrying a
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import apply_filters, optimal_filters
-from .metrics import (_UNIT_TOL, chsh_value, correlation_spectrum,
+from .filtering import _filtered_state
+from .metrics import (_UNIT_TOL, _chsh, correlation_spectrum,
                       optimal_chsh_settings, qber)
-from .states import PAULI, TwoQubitState, to_mueller
+from .states import TwoQubitState, to_mueller
 
 __all__ = ["SimConfig", "SimReport", "born_joint_distribution",
            "run_protocol"]
@@ -81,29 +83,23 @@ def born_joint_distribution(state: TwoQubitState, a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    for v in (a, b):
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-            raise ValueError("measurement direction must be a unit 3-vector")
+    if a.shape != (3,) or b.shape != (3,):
+        raise ValueError("measurement direction must be a unit 3-vector")
+    return _born_table(to_mueller(state).m, np.array([[a], [b]]))[0]
+
+
+def _born_table(m: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    # born_joint_distribution of the state with Mueller matrix m for the
+    # direction pairs a, b = ab[:, k], as rows k of a (K, 4) table
+    if not (np.abs(np.linalg.norm(ab, axis=-1) - 1.0) <= _UNIT_TOL).all():
+        raise ValueError("measurement direction must be a unit 3-vector")
     # rows s = +1, -1 of (1, s a), columns t = +1, -1 of (1, t b)
-    x = np.array([[1.0, *a], [1.0, *-a]])
-    y = np.array([[1.0, *b], [1.0, *-b]])
-    probs = (x @ to_mueller(state).m @ y.T).ravel() / 4.0
-    if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-12:
+    x = np.ones(ab.shape[:2] + (2, 4))
+    x[..., 1:] = ab[:, :, None] * [[1.0], [-1.0]]
+    probs = (x[0] @ m @ x[1].swapaxes(-1, -2)).reshape(-1, 4) / 4.0
+    if not (probs.min() >= -1e-12
+            and np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12):
         raise RuntimeError("Born probabilities inconsistent")
-    return np.clip(probs, 0.0, None)
-
-
-def _filter_povm_probs(state: TwoQubitState, pair) -> np.ndarray:
-    # outcome order: (1,1), (1,2), (2,1), (2,2); "both 1" is the keep event
-    # p(A, B) = x_A^T M x_B with x the Pauli coefficients Tr[E sigma_i] / 2
-    # of each POVM element; 1 - E has coefficients e0 - x_E
-    e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    x, y = (np.array([np.trace(f.conj().T @ f @ p).real for p in PAULI]) / 2.0
-            for f in (pair.m1, pair.n1))
-    probs = (np.array([x, e0 - x]) @ to_mueller(state).m
-             @ np.array([y, e0 - y]).T).ravel()
-    if probs.min() < -1e-10 or abs(probs.sum() - 1.0) > 1e-10:
-        raise RuntimeError("filter POVM probabilities inconsistent")
     return np.clip(probs, 0.0, None)
 
 
@@ -148,24 +144,17 @@ def run_protocol(state: TwoQubitState, config: SimConfig) -> SimReport:
     a diagonal normal form, and ValueError when no rounds survive
     sifting (q_emp would be undefined).
     """
-    if config.with_filtering:
-        pair = optimal_filters(state)  # X-form error propagates
-        measured, p_succ = apply_filters(state, pair)
-        povm = _filter_povm_probs(state, pair)
-        p_keep = float(povm[0])
+    if config.with_filtering:  # X-form and p floor errors propagate
+        p_keep, m, spec, _ = _filtered_state(to_mueller(state))
     else:
-        measured, p_succ = state, 1.0
-        p_keep = 1.0
-
-    spec = correlation_spectrum(measured)
+        p_keep, m, spec = 1.0, to_mueller(state).m, correlation_spectrum(state)
     settings = optimal_chsh_settings(spec)
     key_pairs = [(spec.alice_dirs[i], spec.bob_dirs[j])
                  for i in range(2) for j in range(2)]
     chsh_pairs = [(av, bv) for av in (settings.a0, settings.a1)
                   for bv in (settings.b0, settings.b1)]
     # row layout: key (i,j) rows 0..3, chsh (i,j) rows 4..7
-    table = np.vstack([born_joint_distribution(measured, av, bv)
-                       for av, bv in key_pairs + chsh_pairs])
+    table = _born_table(m, np.swapaxes(key_pairs + chsh_pairs, 0, 1))
     # outcome k of a row is the number of its bounds cum[0..2, row] below
     # the uniform; one contiguous column per bound gathers fastest
     cum = np.ascontiguousarray(np.cumsum(table, axis=1).T[:3])
@@ -193,6 +182,6 @@ def run_protocol(state: TwoQubitState, config: SimConfig) -> SimReport:
         s_emp=s_emp,
         accept_rate=accepted / int(config.rounds),
         q_analytic=qber(spec, 2),
-        s_analytic=chsh_value(measured, settings),
-        p_succ_analytic=float(p_succ),
+        s_analytic=_chsh(m[1:, 1:], settings),
+        p_succ_analytic=float(p_keep),
     )

@@ -204,9 +204,11 @@ def test_filter_bell_diagonal_identity(capsys, tmp_path):
 def test_filter_maximally_mixed(capsys, tmp_path):
     path = write(tmp_path, "mixed.json", matrix_doc(
         [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]))
-    code, out, err = run(capsys, ["filter", path])
-    assert code == 1
-    assert "normal form undefined/trivial" in err
+    for argv in (["filter", path],
+                 ["simulate", path, "--rounds", "100", "--with-filtering"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert "normal form undefined/trivial" in err
 
 
 def test_filter_xform(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from bellqkd import filtering, metrics, protocol_sim, states
 
-from conftest import random_density_matrix
+from conftest import filtered, random_density_matrix, random_filter
 
 SINGLET = states.bell_state("psi-")
 GISIN = states.make_family(
@@ -67,21 +67,14 @@ def test_born_rejects_non_unit_direction():
         protocol_sim.born_joint_distribution(SINGLET, [0, 0, 2], [0, 0, 1])
     with pytest.raises(ValueError):
         protocol_sim.born_joint_distribution(SINGLET, [0, 0, 1], [0.5, 0, 0])
-
-
-def test_filter_povm_probabilities_normalized():
-    rng = np.random.default_rng(67)
-    pair = filtering.optimal_filters(GISIN)
-    for st in [GISIN, SINGLET] + [
-            states.TwoQubitState(random_density_matrix(rng))
-            for _ in range(20)]:
-        p = protocol_sim._filter_povm_probs(st, pair)
-        assert p.min() >= 0.0
-        assert abs(p.sum() - 1.0) < 1e-10
-        ea = pair.m1.conj().T @ pair.m1
-        eb = pair.n1.conj().T @ pair.n1
-        ref = trace_probs(st, [ea, np.eye(2) - ea], [eb, np.eye(2) - eb])
-        assert np.abs(p - ref).max() < 1e-12
+    for bad in ([np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 0]):
+        with pytest.raises(ValueError):
+            protocol_sim.born_joint_distribution(SINGLET, bad, [0, 0, 1])
+        with pytest.raises(ValueError):
+            protocol_sim.born_joint_distribution(SINGLET, [0, 0, 1], bad)
+    with pytest.raises(ValueError):
+        metrics.ChshSettings(a0=[np.nan, 0, 0], a1=[1, 0, 0], b0=[0, 1, 0],
+                             b1=[0, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,8 @@ def test_reports_frozen():
          SR(rounds_total=536633, rounds_filter_accepted=212560,
             rounds_sifted=95922, key_bits=95922, q_emp=0.09117824899397427,
             s_emp=2.3191336414108896, accept_rate=0.39609938263207817,
-            q_analytic=0.09180920635594025, s_analytic=2.309075825629067,
-            p_succ_analytic=0.3956483157256778)),
+            q_analytic=0.09180920635594034, s_analytic=2.309075825629066,
+            p_succ_analytic=0.39564831572567777)),
         (states.depolarize(SINGLET, 0.9), protocol_sim.SimConfig(
             rounds=200_000, seed=5, chsh_test_fraction=0.3),
          SR(rounds_total=200000, rounds_filter_accepted=200000,
@@ -290,6 +283,37 @@ def test_run_memory_does_not_grow_with_rounds():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_simulate_agrees_with_filter():
+    """A filtered run samples the state filter reports, sigma / sigma0:
+    p_succ and q are filter's own bits and S is within 1e-12 of its S_max.
+    An unfiltered run reads q and S off correlation_spectrum and
+    chsh_value."""
+    rng = np.random.default_rng(97)
+    werner = states.make_family(states.FamilySpec(variant="werner", p=0.8))
+    bell = [states.bell_state(k).rho for k in ("phi+", "phi-", "psi+", "psi-")]
+    sts = [GISIN] + [
+        states.TwoQubitState(filtered(st.rho, random_filter(rng),
+                                      random_filter(rng)))
+        for st in (werner, GISIN) for _ in range(3)] + [
+        states.TwoQubitState(np.tensordot(rng.dirichlet(np.ones(4)), bell, 1))
+        for _ in range(4)] + [
+        states.TwoQubitState(random_density_matrix(rng, rank=1 + i % 4))
+        for i in range(8)]
+    for i, st in enumerate(sts):
+        out = filtering.filtered_key_rate(st)
+        rep = protocol_sim.run_protocol(st, protocol_sim.SimConfig(
+            rounds=2_000, seed=i, with_filtering=True))
+        assert rep.p_succ_analytic == out.p_succ, i
+        assert rep.q_analytic == out.after.q, i
+        assert abs(rep.s_analytic - out.after.s_max) < 1e-12, i
+        rep = protocol_sim.run_protocol(
+            st, protocol_sim.SimConfig(rounds=2_000, seed=i))
+        spec = metrics.correlation_spectrum(st)
+        assert rep.q_analytic == metrics.qber(spec, 2), i
+        assert rep.s_analytic == metrics.chsh_value(
+            st, metrics.optimal_chsh_settings(spec)), i
 
 
 def test_filtering_requires_diagonal_form():

@@ -20,7 +20,7 @@ MAX_LITERALS = {
     "cli.py": 0,
     "filtering.py": 18,
     "metrics.py": 5,
-    "protocol_sim.py": 4,
+    "protocol_sim.py": 2,
     "states.py": 4,
 }
 
