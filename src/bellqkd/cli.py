@@ -199,8 +199,8 @@ def _parse_range(text: str, lo: float, hi: float) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-# Cells per call of filtered_key_rate_batch, written to the CSV before the
-# next call, so a sweep of any size holds one chunk of states and rows. The
+# Cells per call of filtering._batch, written to the CSV before the next
+# call, so a sweep of any size holds one chunk of states and rows. The
 # temporaries of a call grow with its size: the 2,450-cell sweep in one call
 # peaks 10 MiB above the one-state loop, in calls of 256 it does not.
 _SWEEP_CHUNK = 256
@@ -217,20 +217,22 @@ def _cmd_sweep(args) -> int:
                               mu=float(mus[0]))
         except states.StateFileError as e:
             raise _CliError(EXIT_USAGE, f"range outside family domain: {e}")
-    al_cells, mu_cells = (g.ravel() for g in
-                          np.meshgrid(alphas, mus, indexing="ij"))
+    # cell k of the grid is (alphas[al_idx[k]], mus[mu_idx[k]]); each grid
+    # value is formatted once, and a cell takes its text by index
+    al_idx, mu_idx = np.indices((len(alphas), len(mus))).reshape(2, -1)
+    al_text, mu_text = (np.array(["%.6g" % x for x in g.tolist()],
+                                 dtype=object) for g in (alphas, mus))
     # rows go to a temporary file next to --out, which replaces --out only
     # once every cell is written: a failed sweep leaves --out as it was
     tmp = f"{args.out}.{os.getpid()}.part"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(SWEEP_COLUMNS) + "\r\n")
-            for i in range(0, len(al_cells), _SWEEP_CHUNK):
-                al = al_cells[i:i + _SWEEP_CHUNK]
-                mu = mu_cells[i:i + _SWEEP_CHUNK]
-                out = filtering.filtered_key_rate_batch(
-                    states._gisin_rho(al, mu))
-                fh.writelines(_sweep_rows(al, mu, out))
+            for i in range(0, len(al_idx), _SWEEP_CHUNK):
+                a = al_idx[i:i + _SWEEP_CHUNK]
+                m = mu_idx[i:i + _SWEEP_CHUNK]
+                out = filtering._batch(states._gisin_m(alphas[a], mus[m]))
+                fh.write(_sweep_rows(al_text[a], mu_text[m], out))
         os.replace(tmp, args.out)
     except ValueError as e:  # a vanishing p_succ
         raise _CliError(EXIT_INVALID_STATE, str(e))
@@ -243,25 +245,30 @@ def _cmd_sweep(args) -> int:
 
 
 # one CSV line per cell, in SWEEP_COLUMNS order: CRLF line ends and no
-# quoting are the frozen byte format
-_ROW = "%.6g,%.6g,%.6g,%.6g,%s,true,%.6g,%.6g,%.6g,%.6g\r\n"
-_ROW_NOT_FILTERABLE = "%.6g,%.6g,%.6g,%.6g,%s,false,,,,%.6g\r\n"
+# quoting are the frozen byte format; alpha, mu and the region come as text
+_ROW = "%s,%s,%.6g,%.6g,%s,true,%.6g,%.6g,%.6g,%.6g\r\n"
+_ROW_NOT_FILTERABLE = "%s,%s,%.6g,%.6g,%s,false,,,,%.6g\r\n"
+_REGION_TEXT = np.array([r.value for r in metrics.Region], dtype=object)
 
 
-def _sweep_rows(alphas, mus, out: filtering.BatchOutcome):
+def _sweep_rows(al_text, mu_text, out: filtering.BatchOutcome) -> str:
+    # the CSV lines of one chunk, from one template: a row's fields are
+    # those of _ROW, less the after-cells where it is not filterable
     def sq_sum(lam):  # float_power rounds as the ** of one float does
         return np.float_power(lam[:, 0], 2) + np.float_power(lam[:, 1], 2)
 
     lb, la = out.lambdas_before, out.lambdas_after
-    cols = np.column_stack([alphas, mus, sq_sum(lb), lb[:, 0] + lb[:, 1],
-                            out.p_succ, sq_sum(la), la[:, 0] + la[:, 1],
-                            out.r_filtered]).tolist()
-    for (al, mu, sq, s, *after, r), region, filterable in zip(
-            cols, out.region_before, out.filterable.tolist()):
-        if filterable:
-            yield _ROW % (al, mu, sq, s, region.value, *after, r)
-        else:
-            yield _ROW_NOT_FILTERABLE % (al, mu, sq, s, region.value, r)
+    fields = np.empty((len(lb), 9), dtype=object)
+    fields[:, 0], fields[:, 1] = al_text, mu_text
+    fields[:, 4] = _REGION_TEXT[metrics._region_index(lb)]
+    fields[:, [2, 3, 5, 6, 7, 8]] = np.column_stack(
+        [sq_sum(lb), lb[:, 0] + lb[:, 1], out.p_succ, sq_sum(la),
+         la[:, 0] + la[:, 1], out.r_filtered])
+    template = "".join([_ROW if f else _ROW_NOT_FILTERABLE
+                        for f in out.filterable.tolist()])
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[~out.filterable, 5:8] = False  # the after-cells of _ROW
+    return template % tuple(fields[keep].tolist())
 
 
 # built once per process: parse_args keeps no state in the parser, and a

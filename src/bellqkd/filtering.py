@@ -140,8 +140,8 @@ class LorentzTransform:
             raise ValueError(f"l must be 4x4, got {a.shape}")
         dev = np.abs(a @ _G @ a.T - _G).max()
         det = np.linalg.det(a)
-        if (dev > _LORENTZ_TOL or abs(det - 1.0) > _LORENTZ_TOL
-                or a[0, 0] < 1.0 - _LORENTZ_TOL):
+        if not (dev <= _LORENTZ_TOL and abs(det - 1.0) <= _LORENTZ_TOL
+                and a[0, 0] >= 1.0 - _LORENTZ_TOL):  # NaN fails
             raise ValueError(
                 f"not proper orthochronous (metric dev {dev:.3e}, det {det:.12g}, "
                 f"L00 {a[0, 0]:.12g})")
@@ -230,11 +230,11 @@ def filter_to_lorentz(f) -> LorentzTransform:
     """Lorentz image of a filter: L = V (f x f*) V^dag / |det f|."""
     f = np.asarray(f, dtype=complex).reshape(2, 2)
     det = np.linalg.det(f)
-    if abs(det) <= 1e-12:
+    if not abs(det) > 1e-12:  # NaN fails
         raise ValueError("filter must be nonsingular")
     L = _V @ np.kron(f, f.conj()) @ _V.conj().T / abs(det)
     resid = np.abs(L.imag).max()
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise ValueError(f"Lorentz image not real (residue {resid:.3e})")
     return LorentzTransform(L.real)
 
@@ -394,8 +394,14 @@ def _diagonal_form(M: np.ndarray):
     if (order != _AXES).any():
         rows = np.arange(n)[:, None]
         s, R = s[rows, order], R[:, rows, order]
-    # proper rotations; each reflection signs the last value
-    sign = np.where(np.linalg.det(R) < 0, -1.0, 1.0)
+    # proper rotations; each reflection signs the last value. R is
+    # orthogonal to round-off, so the triple product of its rows, written
+    # out over the entries r[3 i + j] = R[..., i, j], has the sign of det R
+    r = R.reshape(-1, 9).T
+    det = (r[0] * (r[4] * r[8] - r[5] * r[7])
+           + r[1] * (r[5] * r[6] - r[3] * r[8])
+           + r[2] * (r[3] * r[7] - r[4] * r[6]))
+    sign = np.where(det < 0, -1.0, 1.0).reshape(2, n)
     R[:, :, 2] *= sign[..., None]
     s[:, 2] *= sign[0] * sign[1]
     sigma = np.zeros((n, 4, 4))
@@ -711,7 +717,8 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
 
     The Diagonal route runs on the whole stack at once, through the same
     checks as the one-state objects, so its temporaries grow with N; a
-    caller with many states passes them in chunks, as ``sweep`` does.
+    caller with many states passes them in chunks, as ``sweep`` does with
+    the Gisin cells' Mueller matrices.
     States that :func:`normal_form` takes around it (the maximally mixed
     state, Bell-diagonal states, pure products), and states a check
     rejects, go through :func:`filtered_key_rate` one by one, so verdicts
@@ -719,9 +726,15 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     are not filterable, and any other exception propagates.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    n = len(rhos)
-    M = _states._mueller(rhos)
-    lam = _metrics._spectra(M)[0]
+    return _batch(_states._mueller(rhos), rhos)
+
+
+def _batch(M: np.ndarray, rhos=None) -> BatchOutcome:
+    # filtered_key_rate_batch over Mueller matrices M (N, 4, 4); a row that
+    # goes through filtered_key_rate takes its state from rhos, or from its
+    # Pauli expansion when rhos is None
+    n = len(M)
+    lam = _metrics._lambdas(M)
     p = np.full(n, np.nan)
     lam_after = np.full((n, 3), np.nan)
     idx = np.flatnonzero(~np.logical_or.reduce(_routes(M)))
@@ -734,8 +747,9 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     r = p * np.maximum(0.0, _metrics._r_min(_metrics._qber(lam_after, 2)))
     filterable = stacked.copy()
     for i in np.flatnonzero(~stacked):
+        rho = _states._pauli_rho(M[i]) if rhos is None else rhos[i]
         try:
-            out = filtered_key_rate(TwoQubitState(rhos[i]))
+            out = filtered_key_rate(TwoQubitState(rho))
         except (XFormError, TrivialNormalFormError):
             r[i] = 0.0
             continue

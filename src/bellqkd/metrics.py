@@ -106,6 +106,11 @@ def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
     return CorrelationSpectrum(*(x[0] for x in spectra))
 
 
+# singular values equal at this many decimals are ties, which
+# correlation_spectrum orders by their directions
+_TIE_DECIMALS = 12
+
+
 def _spectra(M: np.ndarray):
     # correlation_spectrum over a stack of Mueller matrices: lambdas,
     # alice_dirs, bob_dirs and signs, each stacked
@@ -118,13 +123,25 @@ def _spectra(M: np.ndarray):
     flip = np.where((d * first).sum(axis=-1) < 0, -1.0, 1.0)
     d = d * flip[..., None]
     out = s, d[:, :3], d[:, 3:], flip[:, :3] * flip[:, 3:]
-    rs = np.round(s, 12)
+    rs = np.round(s, _TIE_DECIMALS)
     if (rs[:, 1:] < rs[:, :-1]).all():  # no ties: the SVD order stands
         return out
     a = out[1]
     order = np.lexsort((a[..., 2], a[..., 1], a[..., 0], -rs))
     rows = np.arange(len(s))[:, None]
     return tuple(x[rows, order] for x in out)
+
+
+def _lambdas(M: np.ndarray) -> np.ndarray:
+    # _spectra(M)[0], bit for bit, without the singular directions: the
+    # lexsort of _spectra can move a value only among ties that differ in
+    # their bits, so only rows with such ties go through _spectra
+    s = np.linalg.svd(M[:, 1:, 1:])[1]
+    rs = np.round(s, _TIE_DECIMALS)
+    moved = (~(rs[:, 1:] < rs[:, :-1]) & (s[:, 1:] != s[:, :-1])).any(axis=-1)
+    if moved.any():
+        s[moved] = _spectra(M[moved])[0]
+    return s
 
 
 def chsh_max(spec: CorrelationSpectrum) -> float:

@@ -228,7 +228,7 @@ def to_mueller(state: TwoQubitState) -> MuellerMatrix:
 
 def from_mueller(m: MuellerMatrix) -> TwoQubitState:
     """Inverse of :func:`to_mueller`; requires m[0][0] = 1 (unit trace)."""
-    if abs(m.m[0, 0] - 1.0) > 1e-12:
+    if not abs(m.m[0, 0] - 1.0) <= 1e-12:  # NaN fails
         raise InvalidStateError(f"m[0][0] must be 1, got {m.m[0, 0]!r}")
     return TwoQubitState(_pauli_rho(m.m))
 
@@ -249,22 +249,29 @@ def bell_state(label: str) -> TwoQubitState:
     return TwoQubitState(np.outer(k, k.conj()))
 
 
-def _gisin_rho(alpha, mu) -> np.ndarray:
-    # density matrices of gisin(alpha, mu), stacked over broadcast arrays,
-    # built strictly from the Pauli expansion, beta from normalization; no
-    # domain check, FamilySpec holds the family's domain
+def _gisin_m(alpha, mu) -> np.ndarray:
+    # Mueller matrices of gisin(alpha, mu), stacked over broadcast arrays,
+    # beta from normalization; no domain check, FamilySpec holds the
+    # family's domain
     alpha, mu = np.broadcast_arrays(np.asarray(alpha, dtype=float),
                                     np.asarray(mu, dtype=float))
     # float_power rounds squares as Python's ** does (C pow), which differs
     # from x * x in the last bit for about 1e-3 of inputs
-    beta = np.sqrt(1.0 - np.float_power(alpha, 2))
-    rz = mu * (np.float_power(alpha, 2) - np.float_power(beta, 2))
+    alpha2 = np.float_power(alpha, 2)
+    beta = np.sqrt(1.0 - alpha2)
+    rz = mu * (alpha2 - np.float_power(beta, 2))
     m = np.zeros(alpha.shape + (4, 4))
     m[..., 0, 0] = 1.0
     m[..., 3, 0], m[..., 0, 3] = rz, -rz
     m[..., 1, 1] = m[..., 2, 2] = -2.0 * mu * alpha * beta
     m[..., 3, 3] = 1.0 - 2.0 * mu
-    return _pauli_rho(m)
+    return m
+
+
+def _gisin_rho(alpha, mu) -> np.ndarray:
+    # density matrices of gisin(alpha, mu), built strictly from the Pauli
+    # expansion of _gisin_m
+    return _pauli_rho(_gisin_m(alpha, mu))
 
 
 def make_family(spec: FamilySpec) -> TwoQubitState:

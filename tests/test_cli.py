@@ -497,15 +497,37 @@ def test_sweep_bytes_frozen(capsys, tmp_path):
     assert out_path.read_bytes() == SWEEP_FROZEN.encode()
 
 
+def test_sweep_rows_from_pauli_coefficients(capsys, tmp_path):
+    """The sweep evaluates its cells from the Gisin Pauli coefficients, with
+    no density matrix between them and M; on the 50 x 50 grid, with the
+    pure mu = 1 row and the (0.002, 1) edge cell, its CSV equals byte for
+    byte the rows written from filtered_key_rate_batch of the cells'
+    density matrices."""
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, ["sweep", "--family", "gisin",
+                              "--alpha", "0.002:0.998:50",
+                              "--mu", "0.01:1:50", "--out", str(out_path)])
+    assert code == 0
+    alphas, mus = np.linspace(0.002, 0.998, 50), np.linspace(0.01, 1.0, 50)
+    al, mu = (g.ravel() for g in np.meshgrid(alphas, mus, indexing="ij"))
+    assert (0.002, 1.0) in zip(al.tolist(), mu.tolist())
+    out = filtering.filtered_key_rate_batch(states._gisin_rho(al, mu))
+    text = [np.array([f"{x:.6g}" for x in g.tolist()], dtype=object)
+            for g in (al, mu)]
+    want = ",".join(cli.SWEEP_COLUMNS) + "\r\n" + cli._sweep_rows(*text, out)
+    assert out_path.read_bytes() == want.encode()
+
+
 def test_sweep_rows_not_filterable(capsys, tmp_path, monkeypatch):
     """Cells that are not filterable leave the three after-cells empty. No
-    Gisin cell is one, so the grid's states are swapped for an X state and
-    the maximally mixed state among filterable ones; the expected bytes
-    come from csv.writer with f"{x:.6g}" cells."""
+    Gisin cell is one, so the grid's Mueller matrices are swapped for
+    those of an X state and the maximally mixed state among filterable
+    ones; the expected bytes come from csv.writer with f"{x:.6g}" cells."""
     stack = np.array([RHO_X_ROWS, np.eye(4) / 4,
                       states._gisin_rho(0.9, 0.85), x_mixture(0.6, 1),
                       states._gisin_rho(0.3, 1.0)], dtype=complex)
-    monkeypatch.setattr(states, "_gisin_rho", lambda alpha, mu: stack)
+    monkeypatch.setattr(states, "_gisin_m",
+                        lambda alpha, mu: states._mueller(stack))
     out_path = tmp_path / "rows.csv"
     code, _, _ = run(capsys, ["sweep", "--family", "gisin",
                               "--alpha", "0.1:0.9:5", "--mu", "0.5:0.5:1",

@@ -126,6 +126,14 @@ def test_filter_to_lorentz_rejects_singular():
         filtering.filter_to_lorentz(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_filter_to_lorentz_rejects_non_finite(bad):
+    for f in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [0.0, 1.0]],
+              np.full((2, 2), bad)):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            filtering.filter_to_lorentz(f)
+
+
 def test_lorentz_transform_invariants_enforced():
     with pytest.raises(ValueError):
         filtering.LorentzTransform(np.diag([1.0, 1.0, 1.0, -1.0]))  # det -1
@@ -134,6 +142,15 @@ def test_lorentz_transform_invariants_enforced():
         filtering.LorentzTransform(flipped)
     with pytest.raises(ValueError):
         filtering.LorentzTransform(np.eye(4) * 2.0)  # breaks the metric
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lorentz_transform_rejects_non_finite(bad):
+    one_entry = np.eye(4)
+    one_entry[1, 2] = bad
+    for L in (np.full((4, 4), bad), one_entry):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            filtering.LorentzTransform(L)
 
 
 def test_filter_pair_norm_bound():

@@ -46,6 +46,41 @@ def test_spectrum_gisin_reference():
                        atol=1e-12)
 
 
+def _rotations(rng, n):
+    # n random proper rotations, from the QR of Gaussian matrices
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    return q * np.sign(np.linalg.det(q))[:, None, None]
+
+
+def test_lambdas_equal_spectra_bit_for_bit():
+    """_lambdas gives _spectra's lambdas bit for bit on rows with no ties,
+    exact ties (Gisin T = diag(c, c, t)) and ties at 12 decimals whose bits
+    differ (s and s(1 + 1e-14) under random rotations), in one mixed stack
+    and in batches of one. On the last kind _spectra's order moves values
+    away from the SVD's, so the rows with such ties must go through it."""
+    rng = np.random.default_rng(41)
+    n = 200
+    no_ties = rng.uniform(-0.5, 0.5, size=(n, 3, 3))
+    al, mu = rng.uniform(0.01, 0.99, n), rng.uniform(0.01, 1.0, n)
+    exact = states._gisin_m(al, mu)[:, 1:, 1:]
+    s = rng.uniform(0.1, 0.5, n)
+    d = np.zeros((n, 3, 3))
+    d[:, 0, 0], d[:, 1, 1] = s, s * (1.0 + 1e-14)
+    d[:, 2, 2] = rng.uniform(0.0, 0.09, n)
+    near = _rotations(rng, n) @ d @ _rotations(rng, n)
+    M = np.zeros((3 * n, 4, 4))
+    M[:, 0, 0] = 1.0
+    M[:, 1:, 1:] = np.concatenate([no_ties, exact, near])
+    want = metrics._spectra(M)[0]
+    svd = np.linalg.svd(M[:, 1:, 1:])[1]
+    moved = (svd != want).any(axis=-1)
+    assert not moved[:2 * n].any() and moved[2 * n:].sum() > n // 4
+    assert np.array_equal(metrics._lambdas(M), want)
+    for i in range(len(M)):
+        assert np.array_equal(metrics._lambdas(M[i:i + 1]), want[i:i + 1]), i
+
+
 def test_spectrum_bell_and_werner():
     spec = metrics.correlation_spectrum(states.bell_state("psi-"))
     assert np.allclose(spec.lambdas, [1, 1, 1], atol=1e-14)

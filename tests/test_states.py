@@ -88,6 +88,15 @@ def test_from_mueller_rejects_bad_norm():
         states.from_mueller(states.MuellerMatrix(m))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_mueller_rejects_non_finite_norm(bad):
+    m = np.eye(4)
+    m[0, 0] = bad
+    for mm in (m, np.full((4, 4), bad)):
+        with pytest.raises(states.InvalidStateError):
+            states.from_mueller(states.MuellerMatrix(mm))
+
+
 def test_bell_states_known_matrices():
     half = 0.5
     phi_plus = np.zeros((4, 4), dtype=complex)
