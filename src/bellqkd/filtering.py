@@ -25,6 +25,16 @@ into the pattern. That is one fixed member of the family of X forms: no
 boost along either null direction, Bob carries the rotation about z, and
 d <= 0. Pure product states are the X pattern (1, 1, 1, 0) outright.
 
+Axial states, whose M is zero outside its (t, z) and (x, y) blocks (X
+states in the computational basis, Gisin and Werner states among them),
+need only boosts along z and rotations about z (Yu & Eberly, QIC 7, 459,
+2007). The light-cone entries e_a^T M e_b of the (t, z) block are four
+times the state's populations, and where all four are above a round-off
+floor (_AXIAL_FLOOR m00) they give u, v, sigma0 and sigma3 in closed form;
+a closed-form 2x2 SVD of the (x, y) block gives the rest. Pure axial
+states and X-pattern ones have a zero population and keep the eigenspace
+route. Both routes end in the same ordering and signing of the values.
+
 The Diagonal route works on stacks of states: normal_form runs it on one,
 filtered_key_rate_batch on chunks of many, and a state that fails one of
 its checks there goes through filtered_key_rate on its own. Neither applies
@@ -342,17 +352,126 @@ def _time_like(V: np.ndarray):
     return u / np.sqrt(np.where(ok, w, 1.0))[:, None], ok
 
 
-def _diagonal_form(M: np.ndarray):
-    """The pieces of M = l1 sigma l2^T with sigma diagonal, over a stack.
+# Entries of M outside its (t, z) and (x, y) blocks, in M.reshape(-1, 16):
+# an axial M, the Mueller matrix of an X state, has them all exactly zero.
+_OFF_AXIAL = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 
-    M has shape (N, 4, 4). The construction is the module docstring's: u =
-    l1 e0 from the top eigenspace of W, v = l2 e0 = M^T G u normalised,
-    whitening boosts, and a proper SVD. Returns uv = (u, v) and rot (2N
-    rows each, Alice's first) with l = boost(uv) rot, sigma, and the mask,
-    which is False where u or v does not exist, or the boosts do not whiten
-    M: M has the X pattern. Those rows carry u = v = e0 through the steps
-    and hold finite values of no meaning.
+# An axial row takes the closed forms when its four light-cone entries are
+# all above this fraction of m00. On states with a zero population (X
+# mixtures, filtered along z or not, pure Gisin states and random X states,
+# with M from _mueller, to_mueller or _gisin_m) the entry that is zero comes
+# out at most 2.2e-16 m00, one ulp of the O(1) entries it is summed from.
+# The smallest entry of the gisin(1e-6, mu) cells is 4 mu 1e-12, 4e-14 at
+# mu = 0.01. Rows under the floor keep the eigenspace route.
+_AXIAL_FLOOR = 1e-14
+
+
+def _axial(M: np.ndarray):
+    # the light-cone entries e_a^T M e_b, a, b = +- (e+- = (1, 0, 0, +-1)),
+    # in the order ++, --, +-, -+, and the mask of rows that take the
+    # closed forms. Of an axial M they are four times the populations of
+    # |00>, |11>, |01>, |10>. m00 is summed with m33 and m03 with m30 before
+    # the outer sum: on gisin(alpha, mu), where the +- entry 4 mu alpha^2 is
+    # a difference of O(1) entries, the sum in index order (m00 - m03 + m30
+    # - m33) was off by 8.0e-4 at alpha = 1e-6 and 2.2e-5 at 1e-5, against
+    # 5.0e-4 and 4.9e-6 for this grouping. A stack with no axial row (every
+    # general state) returns b = None after the zero test alone.
+    ax = ~M.reshape(-1, 16)[:, _OFF_AXIAL].any(axis=-1)
+    if not ax.any():
+        return None, ax
+    m00, m03, m30, m33 = M[:, 0, 0], M[:, 0, 3], M[:, 3, 0], M[:, 3, 3]
+    t, z = m00 + m33, m00 - m33
+    tz, zt = m03 + m30, m03 - m30
+    b = np.array([t + tz, t - tz, z - zt, z + zt])
+    ax &= (b > _AXIAL_FLOOR * np.abs(m00)).all(axis=0)
+    return b, ax
+
+
+# LAPACK's dbdsqr takes a superdiagonal entry for zero below TOL = eps^-1/8
+# eps (its eps is 2^-53) times its estimate of the smallest singular value
+_GESDD_TOL = (np.finfo(float).eps / 2.0) ** 0.875
+_TINY = np.finfo(float).tiny
+
+
+def _rot2(x: np.ndarray) -> np.ndarray:
+    # plane rotations by the angles x[n]
+    c, s = np.cos(x), np.sin(x)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+
+
+def _axial_form(M: np.ndarray, b: np.ndarray):
+    """_eigen_form's pieces for axial M (N, 4, 4) in closed form, from the
+    light-cone entries b of _axial, all positive.
+
+    A boost along z by rapidity eta scales e+- by exp(+-eta). So M =
+    B(eta1) Sigma B(eta2)^T has b++ = exp(eta1 + eta2)(sigma0 + sigma3),
+    b-- = exp(-eta1 - eta2)(sigma0 + sigma3), b+- = exp(eta1 - eta2)(sigma0
+    - sigma3) and b-+ = exp(eta2 - eta1)(sigma0 - sigma3), which give u =
+    (cosh eta1, 0, 0, sinh eta1), v likewise, sigma0 and sigma3. Boosts
+    along z leave M's (x, y) block A as it is; the SVD of A (+) sigma3 is
+    written with the conventions of LAPACK's gesdd, which np.linalg.svd
+    runs on the eigenspace route. gesdd reflects A's first column onto x
+    (Householder), then turns the triangle this leaves by the rotation of
+    dlasv2, whose column of the larger value has a positive x entry (y when
+    the triangle's second diagonal entry is the larger), or by none where
+    dbdsqr splits the triangle as diagonal, and makes each value nonnegative
+    by a sign on the right. So the rotations are that route's wherever its
+    whitened block is exactly axial and A's values are apart.
     """
+    n = len(M)
+    pp, mm, pm, mp = b
+    # exp(eta1), exp(eta2)
+    x = np.sqrt(np.sqrt(np.array([pp * pm / (mm * mp), pp * mp / (mm * pm)])))
+    uv = np.zeros((2, n, 4))
+    uv[..., 0], uv[..., 3] = (x + 1.0 / x) / 2.0, (x - 1.0 / x) / 2.0
+    plus, minus = np.sqrt(pp * mm), np.sqrt(pm * mp)
+    s3 = (plus - minus) / 2.0
+    axx, axy, ayx, ayy = M[:, 1, 1], M[:, 1, 2], M[:, 2, 1], M[:, 2, 2]
+    # the reflection H = [[axx, ayx], [ayx, -axx]] / f takes A's first
+    # column to (f, 0) and A to the triangle [[f, g], [0, h]]; none where
+    # ayx = 0
+    refl = ayx != 0.0
+    f = np.where(refl, -np.copysign(np.hypot(axx, ayx), axx), axx)
+    fr = np.where(refl, f, 1.0)
+    g = np.where(refl, (axx * axy + ayx * ayy) / fr, axy)
+    h = np.where(refl, (ayx * axy - axx * ayy) / fr, ayy)
+    fa, ha = np.abs(f), np.abs(h)
+    # the triangle is rot(phi) diag(q + r, q - r) rot(th), or diagonal where
+    # |g| is below dbdsqr's bound; its smallest-value estimate runs over the
+    # 3x3 block's diagonal f, h, sigma3 and superdiagonal g, 0
+    a1, a2 = np.arctan2(g, f - h), np.arctan2(-g, f + h)
+    q, r = np.hypot(f + h, g) / 2.0, np.hypot(f - h, g) / 2.0
+    low = np.minimum(np.minimum(
+        fa, ha * fa / np.maximum(fa + np.abs(g), _TINY)), np.abs(s3))
+    split = np.abs(g) <= _GESDD_TOL * low / np.sqrt(3.0)
+    phi = np.where(split, 0.0, (a2 + a1) / 2.0)
+    th = np.where(split, 0.0, (a2 - a1) / 2.0)
+    lead = np.where(ha > fa, np.sin(phi), np.cos(phi))
+    sign = np.where(~split & (lead < 0.0), -1.0, 1.0)
+    right = np.stack([np.where(split & (f < 0.0), -sign, sign),
+                      np.where(np.where(split, h < 0.0, q < r), -sign, sign)],
+                     axis=-1)
+    s = np.stack([np.where(split, fa, q + r),
+                  np.where(split, ha, np.abs(q - r)), np.abs(s3)], axis=-1)
+    U, Vt = np.zeros((2, n, 3, 3))
+    U[:, :2, :2] = _rot2(phi) * sign[:, None, None]
+    if refl.any():
+        H = np.stack([axx, ayx, ayx, -axx], axis=-1)[refl].reshape(-1, 2, 2)
+        U[refl, :2, :2] = H / f[refl, None, None] @ U[refl, :2, :2]
+    Vt[:, :2, :2] = _rot2(th) * right[:, :, None]
+    U[:, 2, 2] = 1.0
+    Vt[:, 2, 2] = np.where(s3 < 0.0, -1.0, 1.0)
+    # values descending, as gesdd leaves them
+    order = np.argsort(-s, axis=-1, kind="stable")
+    rows = np.arange(n)[:, None]
+    return (uv[0], uv[1], (plus + minus) / 2.0,
+            U[rows, :, order].swapaxes(-1, -2), s[rows, order], Vt[rows, order])
+
+
+def _eigen_form(M: np.ndarray):
+    """u = l1 e0, v = l2 e0, sigma0 and the SVD (R1, s, R2t) of the
+    whitened 3x3 block, over a stack M (N, 4, 4), and the mask of rows whose
+    u, v exist and whiten M, from the top eigenspace of W."""
     n = len(M)
     e0 = _I4[0]
     W = M @ _G @ M.swapaxes(-1, -2) @ _G
@@ -377,17 +496,47 @@ def _diagonal_form(M: np.ndarray):
     ok &= (nv >= 1e-12) & (v[:, 0] > 0)  # else v is not time-like
     v = v / np.sqrt(np.where(ok, nv, 1.0))[:, None]
     v[~ok] = e0
-    uv = np.concatenate([u, v])
-    B = _boost(uv)
-    Bu, Bv = B[:n], B[n:]
-    Mw = (Bu * _INVERT) @ M @ (Bv * _INVERT)
+    B = _boost(np.concatenate([u, v]))
+    Mw = (B[:n] * _INVERT) @ M @ (B[n:] * _INVERT)
     off = np.abs(np.concatenate([Mw[:, 0, 1:], Mw[:, 1:, 0]], axis=-1))
     ok &= off.max(axis=-1) <= _WHITEN_RTOL * Mw[:, 0, 0]  # else the X pattern
-    R1, s, R2t = np.linalg.svd(Mw[:, 1:, 1:])
+    return (u, v, Mw[:, 0, 0], *np.linalg.svd(Mw[:, 1:, 1:])), ok
+
+
+def _diagonal_form(M: np.ndarray):
+    """The pieces of M = l1 sigma l2^T with sigma diagonal, over a stack.
+
+    M has shape (N, 4, 4). Axial rows (M exactly zero outside its (t, z)
+    and (x, y) blocks) whose four light-cone entries are above
+    _AXIAL_FLOOR m00 take _axial_form's closed forms; every other row,
+    pure and X-pattern axial rows among them, takes the construction of the
+    module docstring in _eigen_form: u = l1 e0 from the top eigenspace of
+    W, v = l2 e0 = M^T G u normalised, whitening boosts, and an SVD. Both
+    give u, v, sigma0 and an SVD of the whitened 3x3 block, from which one
+    tail orders the values and makes the rotations proper. Returns uv = (u,
+    v) and rot (2N rows each, Alice's first) with l = boost(uv) rot, sigma,
+    and the mask, which is False where u or v does not exist, or the boosts
+    do not whiten M: M has the X pattern. Those rows carry u = v = e0
+    through the steps and hold finite values of no meaning.
+    """
+    n = len(M)
+    b, ax = _axial(M)
+    if not ax.any():
+        parts, ok = _eigen_form(M)
+    else:
+        # every row through the closed forms, on light-cone entries of 1
+        # where M is not axial, then those rows' pieces from _eigen_form
+        parts = _axial_form(M, np.where(ax, b, 1.0))
+        ok = np.ones(n, dtype=bool)
+        if not ax.all():
+            eigen, ok[~ax] = _eigen_form(M[~ax])
+            for x, y in zip(parts, eigen):
+                x[~ax] = y
+    u, v, sigma0, R1, s, R2t = parts
     # singular values equal to _EIG_RTOL sigma0 in the order of the axes
     # their directions lie along, so Gisin-type states keep diagonal filters
     key = np.abs(R1).argmax(axis=-2)
-    gap = s[:, :-1] - s[:, 1:] > _EIG_RTOL * Mw[:, :1, 0]
+    gap = s[:, :-1] - s[:, 1:] > _EIG_RTOL * sigma0[:, None]
     key[:, 1:] += 3 * gap.cumsum(axis=-1)
     order = key.argsort(kind="stable")
     R = np.array([R1.swapaxes(-1, -2), R2t])  # row i: the directions of s[i]
@@ -405,9 +554,10 @@ def _diagonal_form(M: np.ndarray):
     R[:, :, 2] *= sign[..., None]
     s[:, 2] *= sign[0] * sign[1]
     sigma = np.zeros((n, 4, 4))
-    sigma[:, 0, 0] = Mw[:, 0, 0]
+    sigma[:, 0, 0] = sigma0
     sigma.reshape(n, 16)[:, 5::5] = s
-    return uv, R.swapaxes(-1, -2).reshape(-1, 3, 3), sigma, ok
+    return (np.concatenate([u, v]), R.swapaxes(-1, -2).reshape(-1, 3, 3),
+            sigma, ok)
 
 
 def _rotation_to(r: np.ndarray) -> LorentzTransform:
@@ -719,6 +869,9 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     checks as the one-state objects, so its temporaries grow with N; a
     caller with many states passes them in chunks, as ``sweep`` does with
     the Gisin cells' Mueller matrices.
+    Axial states whose four populations are above the round-off floor (every
+    Gisin cell with mu < 1) take the Diagonal form's closed forms; pure and
+    X-pattern axial states, like all others, take the eigenspace route.
     States that :func:`normal_form` takes around it (the maximally mixed
     state, Bell-diagonal states, pure products), and states a check
     rejects, go through :func:`filtered_key_rate` one by one, so verdicts

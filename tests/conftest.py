@@ -80,6 +80,23 @@ def x_mixture(lam: float, slot: int) -> np.ndarray:
     return rho
 
 
+def random_x_state(rng: np.random.Generator, zero: int | None = None) -> np.ndarray:
+    """An X state: random populations of |00>, |01>, |10>, |11> (the one
+    at index ``zero`` set to 0) and complex coherences |00><11|, |01><10|
+    of random phase and up to the largest modulus positivity allows. Its
+    Mueller matrix is axial: zero outside the (t, z) and (x, y) blocks."""
+    p = rng.dirichlet(np.ones(4))
+    if zero is not None:
+        p[zero] = 0.0
+        p /= p.sum()
+    rho = np.diag(p).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        rho[i, j] = (np.sqrt(p[i] * p[j]) * rng.uniform()
+                     * np.exp(2j * np.pi * rng.uniform()))
+        rho[j, i] = rho[i, j].conjugate()
+    return rho
+
+
 def _su2(q) -> np.ndarray:
     a, b, c, d = np.asarray(q) / np.linalg.norm(q)
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])

@@ -518,6 +518,19 @@ def test_sweep_rows_from_pauli_coefficients(capsys, tmp_path):
     assert out_path.read_bytes() == want.encode()
 
 
+def test_sweep_writes_nothing_to_stderr(tmp_path):
+    """The 50 x 50 grid, whose pure mu = 1 row keeps the eigenspace route
+    while every other cell takes the closed forms, leaves stderr empty: no
+    numpy warning from the masked rows of either route."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellqkd", "sweep", "--family", "gisin",
+         "--alpha", "0.002:0.998:50", "--mu", "0.01:1:50",
+         "--out", str(tmp_path / "grid.csv")],
+        cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_sweep_rows_not_filterable(capsys, tmp_path, monkeypatch):
     """Cells that are not filterable leave the three after-cells empty. No
     Gisin cell is one, so the grid's Mueller matrices are swapped for

@@ -7,7 +7,7 @@ from bellqkd import filtering, metrics, states
 
 from conftest import (filtered, filtered_nearly_product_pure_states,
                       haar_su2, random_density_matrix, random_filter,
-                      sl2c_filters, x_mixture)
+                      random_x_state, sl2c_filters, x_mixture)
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -715,13 +715,17 @@ def test_batch_equals_scalar(monkeypatch):
     x_states = [filtered(x_mixture(rng.uniform(0.05, 0.95), 1 + k % 2),
                          random_filter(rng, 0.05), random_filter(rng, 0.05))
                 for k in range(20)]
+    # axial states: random X states take the closed forms on both paths,
+    # unfiltered X mixtures the eigenspace route
+    axial = [random_x_state(rng) for _ in range(40)]
+    x_plain = [x_mixture(rng.uniform(0.05, 0.95), 1 + k % 2) for k in range(6)]
     products = [np.diag([0.0, 1.0, 0.0, 0.0]),
                 np.kron(np.outer([0.6, 0.8j], [0.6, -0.8j]),
                         np.outer([1.0, 1.0], [1.0, 1.0]) / 2),
                 np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)]
     werner = states.make_family(states.FamilySpec(variant="werner", p=0.7))
     special = [werner.rho, np.eye(4) / 4, *products]
-    rhos = np.array(grid + randoms + x_states + special
+    rhos = np.array(grid + randoms + x_states + axial + x_plain + special
                     + filtered_nearly_product_pure_states(
                         np.random.default_rng(3), 10))
     raised, verdicts = {}, {}
@@ -784,6 +788,93 @@ def test_batch_gisin_closed_form():
     assert out.filterable.all()
     np.testing.assert_allclose(out.p_succ, p, rtol=1e-9, atol=0)
     np.testing.assert_allclose(out.lambdas_after, lam, rtol=0, atol=1e-11)
+
+
+def test_batch_gisin_small_alpha_lines():
+    """At small alpha M holds the population 4 mu alpha^2 only as a sum of
+    O(1) entries, so p_succ is as accurate as M's round-off allows. Against
+    the Gisin closed form, over 100 mu in [0.01, 0.99] per line, the batch
+    keeps p_succ within 2.5e-4 at alpha = 1e-6 (every cell filterable),
+    2.5e-6 at 1e-5 and 3.4e-9 at 2.5e-4. Through the eigenspace route
+    alone, 3 cells of the first line are not filterable, and the other
+    lines reach 2.9e-6 and 7.8e-9. These are the cells `bellqkd sweep
+    --family gisin --alpha 1e-6:1e-6:1 --mu 0.01:0.99:100` writes."""
+    mu = np.linspace(0.01, 0.99, 100)
+    for al, bound in ((1e-6, 5e-4), (1e-5, 3e-6), (2.5e-4, 8e-9)):
+        out = filtering._batch(states._gisin_m(al, mu))
+        s, l = al, np.sqrt(1.0 - al * al)
+        want = 2.0 * mu * s * s + (1.0 - mu) * s / l
+        assert out.filterable.all(), al
+        assert np.abs(out.p_succ / want - 1.0).max() <= bound, al
+
+
+def eigen_route(monkeypatch, M):
+    # _diagonal_form with every row sent through the eigenspace construction
+    with monkeypatch.context() as patched:
+        patched.setattr(filtering, "_AXIAL_FLOOR", np.inf)
+        return filtering._diagonal_form(M)
+
+
+def test_axial_route_matches_eigen_route(monkeypatch):
+    """_diagonal_form takes axial rows through closed forms, and the
+    eigenspace construction that every other row takes is their oracle. On
+    the 200 x 200 Gisin grid (mu < 1) and on random X states both give the
+    same verdict, sigma and p_succ to 1e-9 relative, and the same rotations:
+    to 1e-12 on the grid. On the X states they are the same up to one sign
+    flip of two singular pairs on both sides at once, which leaves l1 sigma
+    l2^T as it is; the eigen route's whitened block holds round-off outside
+    its blocks, and LAPACK's Householder steps turn that into flips on 2 %
+    of these states. They agree to the round-off divided by the gap between
+    singular values (at most 4.1e-16 sigma0 / gap)."""
+    al, mu = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.002, 0.998, 200), np.linspace(0.01, 1.0, 200),
+        indexing="ij"))
+    rng = np.random.default_rng(17)
+    grid = states._gisin_m(al[mu < 1.0], mu[mu < 1.0])
+    xs = states._mueller(np.array([random_x_state(rng) for _ in range(2000)]))
+    for M in (grid, xs):
+        assert filtering._axial(M)[1].all()
+        uv, rot, sigma, ok = filtering._diagonal_form(M)
+        uv_e, rot_e, sigma_e, ok_e = eigen_route(monkeypatch, M)
+        assert ok.all() and ok_e.all()
+        s0 = sigma_e[:, 0, 0]
+        assert (np.abs(sigma - sigma_e).max(axis=(-2, -1)) <= 1e-9 * s0).all()
+        p, p_e = filtering._p_succ(uv, sigma), filtering._p_succ(uv_e, sigma_e)
+        np.testing.assert_allclose(p, p_e, rtol=1e-9, atol=0)
+        R, R_e = (r.reshape(2, len(M), 3, 3) for r in (rot, rot_e))
+        if M is grid:
+            np.testing.assert_allclose(R, R_e, rtol=0, atol=1e-12)
+            continue
+        flips = np.sign(np.einsum("snji,snjk->snik", R_e, R).diagonal(
+            axis1=-2, axis2=-1))
+        assert (flips[0] == flips[1]).all() and (flips.prod(axis=-1) == 1).all()
+        s = np.sort(np.abs(sigma.diagonal(axis1=-2, axis2=-1)[:, 1:]), axis=-1)
+        gap = np.diff(s, axis=-1).min(axis=-1)
+        dev = np.abs(R_e * flips[..., None, :] - R).max(axis=(0, -2, -1))
+        assert (dev <= 1e-12 + 1e-14 * s0 / gap).all()
+
+
+def test_axial_states_with_a_zero_population_stay_xform():
+    """An X state with one zero population has the X pattern. That
+    population's light-cone entry comes out as round-off, up to 2.2e-16
+    m00, below _AXIAL_FLOOR, whichever seam builds M, so these states keep
+    the eigenspace route and its XForm verdict; the route's
+    LorentzTransforms are valid. With no floor, x_mixture(0.6, 1) took the
+    closed forms from one seam and not from the other."""
+    rng = np.random.default_rng(23)
+    rhos = [x_mixture(0.6, 1), x_mixture(0.3, 2),
+            *(x_mixture(rng.uniform(0.05, 0.95), 1 + k % 2) for k in range(20)),
+            *(random_x_state(rng, zero=k % 4) for k in range(40))]
+    for i, rho in enumerate(rhos):
+        for M in (states.to_mueller(states.TwoQubitState(rho)).m,
+                  states._mueller(rho)):
+            assert not filtering._axial(M[None])[1][0], i
+            nf = filtering.normal_form(states.MuellerMatrix(M))
+            assert nf.kind == filtering.XFORM, i
+            assert_lorentz(nf.l1.l)
+            assert_lorentz(nf.l2.l)
+    assert not filtering.filtered_key_rate_batch(np.array(rhos)).filterable.any()
+    assert not filtering._batch(states._mueller(np.array(rhos))).filterable.any()
 
 
 def test_filtered_key_rate_matches_applied_filters():

@@ -180,7 +180,7 @@ def test_reports_frozen():
             rounds_sifted=95922, key_bits=95922, q_emp=0.09117824899397427,
             s_emp=2.3191336414108896, accept_rate=0.39609938263207817,
             q_analytic=0.09180920635594034, s_analytic=2.309075825629066,
-            p_succ_analytic=0.39564831572567777)),
+            p_succ_analytic=0.3956483157256779)),
         (states.depolarize(SINGLET, 0.9), protocol_sim.SimConfig(
             rounds=200_000, seed=5, chsh_test_fraction=0.3),
          SR(rounds_total=200000, rounds_filter_accepted=200000,
