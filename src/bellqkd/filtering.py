@@ -35,10 +35,10 @@ a closed-form 2x2 SVD of the (x, y) block gives the rest. Pure axial
 states and X-pattern ones have a zero population and keep the eigenspace
 route. Both routes end in the same ordering and signing of the values.
 
-The Diagonal route works on stacks of states: normal_form runs it on one,
-filtered_key_rate_batch on chunks of many, and a state that fails one of
-its checks there goes through filtered_key_rate on its own. Neither applies
-the filters: the filtered state's Mueller matrix is sigma / sigma0, and
+One function, _forms, decides the route of every state, over a stack:
+normal_form, the one-state filter path and filtered_key_rate_batch read it,
+and no state of a batch goes through filtered_key_rate. None applies the
+filters: the filtered state's Mueller matrix is sigma / sigma0, and
 |det f| = 1 / (w0 + |w|) makes p_succ = sigma0 / ((u0 + |u|)(v0 + |v|)).
 
 Entanglement measures (Wootters concurrence, entanglement of formation)
@@ -101,13 +101,12 @@ _YY = np.kron(_PAULI[2].reshape(2, 2), _PAULI[2].reshape(2, 2)).real
 DIAGONAL = "Diagonal"
 XFORM = "XForm"
 
-# Bounds of the checks, shared by the one-object checks and the stacked
-# ones of filtered_key_rate_batch, so that both give the same verdict.
+# Bounds of the checks; the one-state path and the batch share _P_FLOOR.
 #
-# |L G L^T - G|, |det L - 1| and 1 - L00 of a LorentzTransform: the
-# Diagonal l1, l2 stay within 7e-12 of them on the 200x200 Gisin grid (L00
-# up to 250); on filtered pure, nearly product states (L00 up to 1.3e4)
-# they reach 3e-8, and normal_form raises on the states past the bound.
+# |L G L^T - G| entry by entry relative to max(1, |L| |L|^T), |det L - 1|
+# relative to max(1, L00^2), and 1 - L00 of a LorentzTransform: the Diagonal
+# l1, l2 stay within 1.5e-15 of them on the 200x200 Gisin grid (L00 up to
+# 250) and on filtered pure, nearly product states (L00 up to 1.3e4).
 _LORENTZ_TOL = 1e-9
 # operator norm of a filter above 1: the closed forms leave 1e-15
 _NORM_TOL = 1e-12
@@ -148,13 +147,17 @@ class LorentzTransform:
         object.__setattr__(self, "l", a)
         if a.shape != (4, 4):
             raise ValueError(f"l must be 4x4, got {a.shape}")
-        dev = np.abs(a @ _G @ a.T - _G).max()
+        # round-off of L G L^T grows entry by entry with |L| |L|^T, that of
+        # det L with L00^2; det > 0 rejects det = -1 at any L00
+        dev = (np.abs(a @ _G @ a.T - _G)
+               / np.maximum(1.0, np.abs(a) @ np.abs(a).T)).max()
         det = np.linalg.det(a)
-        if not (dev <= _LORENTZ_TOL and abs(det - 1.0) <= _LORENTZ_TOL
+        if not (dev <= _LORENTZ_TOL and det > 0.0
+                and abs(det - 1.0) <= _LORENTZ_TOL * max(1.0, a[0, 0] ** 2)
                 and a[0, 0] >= 1.0 - _LORENTZ_TOL):  # NaN fails
             raise ValueError(
-                f"not proper orthochronous (metric dev {dev:.3e}, det {det:.12g}, "
-                f"L00 {a[0, 0]:.12g})")
+                f"not proper orthochronous (relative metric dev {dev:.3e}, "
+                f"det {det:.12g}, L00 {a[0, 0]:.12g})")
 
 
 @dataclass(frozen=True)
@@ -631,16 +634,39 @@ def _x_form(M: np.ndarray):
     return L1, L2, _G @ L1.T @ _G @ M @ _G @ L2 @ _G
 
 
-def _routes(M: np.ndarray):
-    # the states normal_form takes around the Diagonal construction, over a
-    # stack: the maximally mixed state, Bell-diagonal M and pure products
+# route codes of _forms: _DIAG and _BELL rows are filterable
+_DIAG, _BELL, _XF, _PRODUCT, _TRIVIAL = range(5)
+# entry by entry, how close M is to diagonal, to the maximally mixed state's
+# or to a pure product (1, r)(1, s)^T, |M|_F^2 = 4, to take that route
+_ROUTE_TOL = 1e-12
+_OFF_DIAGONAL = 1.0 - _I4.ravel()
+
+
+def _forms(M: np.ndarray):
+    """Route codes of a stack M (N, 4, 4) and _diagonal_form's uv, rot, sigma.
+
+    Only _DIAG rows run _diagonal_form. Every other row carries u = v = e0,
+    rot = I and sigma = M, so a Bell-diagonal M is its own Diagonal form;
+    _XF rows hold _diagonal_form's finite values of no meaning, which a
+    caller masks.
+    """
+    n = len(M)
     m = M.reshape(-1, 16)
-
-    def near(A):
-        return np.abs(m - A.reshape(-1, 16)).max(axis=-1) < 1e-12
-
-    return (near(_I4[0] * _I4[:, :1]), near(m * _I4.ravel()),
-            near(M[:, :, :1] * M[:, :1, :]) & ((m * m).sum(-1) > 4.0 - 1e-12))
+    bell = np.abs(m * _OFF_DIAGONAL).max(axis=-1) < _ROUTE_TOL
+    route = np.where(bell, _BELL, _DIAG)
+    route[bell & (np.abs(m[:, ::5] - _I4[0]).max(axis=-1)
+                  < _ROUTE_TOL)] = _TRIVIAL
+    route[((m * m).sum(-1) > 4.0 - _ROUTE_TOL)
+          & (np.abs(M - M[:, :, :1] * M[:, :1, :]).max(axis=(-2, -1))
+             < _ROUTE_TOL)] = _PRODUCT
+    todo = route == _DIAG
+    uv, sigma = np.repeat(_I4[:1], 2 * n, axis=0), M.copy()
+    rot = np.repeat(_I4[None, 1:, 1:], 2 * n, axis=0)
+    if todo.any():  # _diagonal_form on no rows costs about 130 us
+        both = np.concatenate([todo, todo])
+        uv[both], rot[both], sigma[todo], ok = _diagonal_form(M[todo])
+        route[np.flatnonzero(todo)[~ok]] = _XF
+    return route, uv, rot, sigma
 
 
 # the X pattern of every pure product state
@@ -662,28 +688,25 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
     the module docstring names. The maximally mixed state is rejected.
     """
     M = np.asarray(m.m, dtype=float)
-    trivial, bell, product = _routes(M[None])
-    if trivial[0]:
+    route, uv, rot, sigma = _forms(M[None])
+    if route[0] <= _BELL:
+        L = _boost(uv) @ _spatial(rot)
+        l1 = LorentzTransform(L[0])  # a Bell-diagonal M checks I once
+        l2 = l1 if (L[0] == L[1]).all() else LorentzTransform(L[1])
+        return NormalForm(kind=DIAGONAL, l1=l1, l2=l2, sigma=sigma[0])
+    if route[0] == _TRIVIAL:
         raise TrivialNormalFormError("normal form undefined/trivial")
-    if bell[0]:
-        ident = LorentzTransform(_I4)
-        return NormalForm(kind=DIAGONAL, l1=ident, l2=ident, sigma=M.copy())
-    if product[0]:
+    if route[0] == _PRODUCT:
         # M = (1, r)(1, s)^T with unit r and s, which is the X pattern
         # (1, 1, 1, 0) turned by the rotations taking z to r, s
         return NormalForm(kind=XFORM, l1=_rotation_to(M[1:, 0]),
                           l2=_rotation_to(M[0, 1:]),
                           sigma=np.outer(_E_PLUS, _E_PLUS),
                           xform_params=_PRODUCT_PARAMS)
-    uv, rot, Sigma, ok = _diagonal_form(M[None])
-    if ok[0]:
-        L = _boost(uv) @ _spatial(rot)
-        return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L[0]),
-                          l2=LorentzTransform(L[1]), sigma=Sigma[0])
-    L1, L2, Sigma = _x_form(M)
+    L1, L2, sigma = _x_form(M)
     return NormalForm(kind=XFORM, l1=LorentzTransform(L1),
-                      l2=LorentzTransform(L2), sigma=Sigma,
-                      xform_params=_x_params(Sigma))
+                      l2=LorentzTransform(L2), sigma=sigma,
+                      xform_params=_x_params(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -705,19 +728,16 @@ def optimal_filters(state: TwoQubitState) -> FilterPair:
 def _diagonal(m: MuellerMatrix):
     # p_succ and (1, 4, 4) sigma of the optimal filters of Mueller matrix m,
     # and the uv, rot of _diagonal_form they come from (None: identities)
-    M = m.m[None]
-    trivial, bell, product = _routes(M)
-    if bell[0] and not trivial[0]:
-        return min(M[0, 0, 0], 1.0), M, None
-    if not (trivial[0] or product[0]):
-        uv, rot, sigma, ok = _diagonal_form(M)
-        if ok[0]:
-            return _p_succ(uv, sigma)[0], sigma, (uv, rot)
-    if trivial[0]:
+    route, uv, rot, sigma = _forms(m.m[None])
+    if route[0] == _BELL:
+        return min(m.m[0, 0], 1.0), sigma, None
+    if route[0] == _DIAG:
+        return _p_succ(uv, sigma)[0], sigma, (uv, rot)
+    if route[0] == _TRIVIAL:
         raise TrivialNormalFormError("normal form undefined/trivial")
-    if product[0]:
+    if route[0] == _PRODUCT:
         raise XFormError(*_PRODUCT_PARAMS)
-    raise XFormError(*_x_params(_x_form(M[0])[2]))
+    raise XFormError(*_x_params(_x_form(m.m)[2]))
 
 
 def _filter_pair(parts) -> FilterPair:
@@ -865,50 +885,28 @@ class BatchOutcome:
 def filtered_key_rate_batch(rhos) -> BatchOutcome:
     """:func:`filtered_key_rate` over density matrices rhos of shape (N, 4, 4).
 
-    The Diagonal route runs on the whole stack at once, through the same
-    checks as the one-state objects, so its temporaries grow with N; a
-    caller with many states passes them in chunks, as ``sweep`` does with
-    the Gisin cells' Mueller matrices.
-    Axial states whose four populations are above the round-off floor (every
-    Gisin cell with mu < 1) take the Diagonal form's closed forms; pure and
-    X-pattern axial states, like all others, take the eigenspace route.
-    States that :func:`normal_form` takes around it (the maximally mixed
-    state, Bell-diagonal states, pure products), and states a check
-    rejects, go through :func:`filtered_key_rate` one by one, so verdicts
-    and exceptions are its own: the X form and the maximally mixed state
-    are not filterable, and any other exception propagates.
+    All N states take the route dispatch of :func:`filtered_key_rate` at
+    once, and none goes through it: verdicts and numbers are its own to the
+    bit, the X form and the maximally mixed state are not filterable, and a
+    p_succ at or below the p floor raises ValueError. Temporaries grow with
+    N, so ``sweep`` passes its cells' Mueller matrices 256 at a time.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    return _batch(_states._mueller(rhos), rhos)
+    return _batch(_states._mueller(rhos))
 
 
-def _batch(M: np.ndarray, rhos=None) -> BatchOutcome:
-    # filtered_key_rate_batch over Mueller matrices M (N, 4, 4); a row that
-    # goes through filtered_key_rate takes its state from rhos, or from its
-    # Pauli expansion when rhos is None
-    n = len(M)
+def _batch(M: np.ndarray) -> BatchOutcome:
+    # filtered_key_rate_batch over Mueller matrices M (N, 4, 4)
     lam = _metrics._lambdas(M)
-    p = np.full(n, np.nan)
-    lam_after = np.full((n, 3), np.nan)
-    idx = np.flatnonzero(~np.logical_or.reduce(_routes(M)))
-    uv, _, sigma, ok = _diagonal_form(M[idx])
-    p_diag = _p_succ(uv, sigma)
-    ok &= p_diag > _P_FLOOR
-    stacked = np.zeros(n, dtype=bool)
-    stacked[idx[ok]] = True
-    p[stacked], lam_after[stacked] = p_diag[ok], _after_spectra(sigma[ok])[0]
-    r = p * np.maximum(0.0, _metrics._r_min(_metrics._qber(lam_after, 2)))
-    filterable = stacked.copy()
-    for i in np.flatnonzero(~stacked):
-        rho = _states._pauli_rho(M[i]) if rhos is None else rhos[i]
-        try:
-            out = filtered_key_rate(TwoQubitState(rho))
-        except (XFormError, TrivialNormalFormError):
-            r[i] = 0.0
-            continue
-        filterable[i] = True
-        p[i], r[i] = out.p_succ, out.r_filtered
-        lam_after[i] = out.after.spectrum.lambdas
+    route, uv, _, sigma = _forms(M)
+    ok = route <= _BELL
+    p = np.where(ok, _p_succ(uv, sigma), np.nan)
+    if not (p[ok] > _P_FLOOR).all():
+        raise ValueError("vanishing success probability")
+    lam_after = np.full((len(M), 3), np.nan)
+    lam_after[ok] = _after_spectra(sigma[ok])[0]
+    r = np.where(ok, p * np.maximum(
+        0.0, _metrics._r_min(_metrics._qber(lam_after, 2))), 0.0)
     region = _metrics._REGIONS[_metrics._region_index(lam)]
-    return BatchOutcome(lam, region, filterable, p, lam_after, r)
+    return BatchOutcome(lam, region, ok, p, lam_after, r)
 

@@ -55,9 +55,9 @@ def filtered(rho: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def filtered_nearly_product_pure_states(rng: np.random.Generator, n: int):
     """gisin(alpha, 1), alpha log-uniform in [1e-3, 3e-2], under filters of
-    singular-value ratio up to 20: for some of them the Diagonal
-    construction gives l1, l2 outside the Lorentz bounds, so normal_form
-    raises, though the filters built from its boosts and rotations work."""
+    singular-value ratio up to 20: the Diagonal construction's boosts
+    reach L00 of 1.3e4, where the Lorentz residuals of l1, l2 are round-off
+    at the scale of L00^2."""
     out = []
     for _ in range(n):
         alpha = float(np.exp(rng.uniform(np.log(1e-3), np.log(3e-2))))

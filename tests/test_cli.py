@@ -440,14 +440,12 @@ def test_sweep_chunks_do_not_show(capsys, tmp_path):
 
 
 def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
-    """A cell whose one-state path raises ValueError ends the sweep with
+    """A cell whose p_succ is at or below the p floor ends the sweep with
     exit 1 and a message, leaves a file already at --out as it was and
-    leaves no temporary file. alpha = 1/sqrt(2) makes a Bell-diagonal
-    cell, which takes that path."""
-    def unresolved(state):
-        raise ValueError("not proper orthochronous (stand-in)")
-
-    monkeypatch.setattr(filtering, "filtered_key_rate", unresolved)
+    leaves no temporary file. No Gisin cell has p_succ that small, so the
+    floor is raised to 2; alpha = 1/sqrt(2) makes a Bell-diagonal cell,
+    whose p_succ of 1 the batch reads off its identity form."""
+    monkeypatch.setattr(filtering, "_P_FLOOR", 2.0)
     al = repr(2 ** -0.5)
     out_path = tmp_path / "x.csv"
     out_path.write_text("kept\n")
@@ -455,7 +453,7 @@ def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
                                 "--alpha", f"{al}:{al}:1", "--mu", "0.5:0.5:1",
                                 "--out", str(out_path)])
     assert code == 1
-    assert err == "error: not proper orthochronous (stand-in)\n"
+    assert err == "error: vanishing success probability\n"
     assert out_path.read_text() == "kept\n"
     assert list(tmp_path.iterdir()) == [out_path]
 

@@ -142,6 +142,20 @@ def test_lorentz_transform_invariants_enforced():
         filtering.LorentzTransform(flipped)
     with pytest.raises(ValueError):
         filtering.LorentzTransform(np.eye(4) * 2.0)  # breaks the metric
+    # the bounds scale with the entries they judge: a boost with L00 = 1e4
+    # passes; L00 off by 1e-6 of itself breaks the metric by 2e-6 L00^2,
+    # and a transverse entry off by 1e-6 breaks it by 2e-6 where no entry
+    # is large; parity keeps the metric and makes det = -1, past the det
+    # bound's 2 at L00 = 1e5
+    for l00 in (1e4, 1e5):
+        u = np.array([l00, 0.0, 0.0, np.sqrt(l00 ** 2 - 1.0)])
+        boost = filtering._boost(u[None])[0]
+        filtering.LorentzTransform(boost)
+        for i, scale in ((0, 1.0 + 1e-6), (1, 1.0 + 1e-6), (1, -1.0)):
+            bad = boost.copy()
+            bad[i, i] *= scale
+            with pytest.raises(ValueError):
+                filtering.LorentzTransform(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -644,8 +658,10 @@ def test_filtered_key_rate_pure_state_oracle():
 
 
 def test_filtered_nearly_product_pure_states_get_filters():
-    """Filters come from the normal form's boosts and rotations, not from
-    l1, l2, so they exist where l1, l2 miss the Lorentz bounds."""
+    """Filters come from the normal form's boosts and rotations, and
+    normal_form builds l1, l2 from the same pieces: with L00 up to 1.3e4,
+    their Lorentz residuals are round-off at the scale of L00^2, within the
+    relative bounds of LorentzTransform, so every Diagonal state gets both."""
     rhos = filtered_nearly_product_pure_states(np.random.default_rng(7), 398)
     diagonal = 0
     for k, rho in enumerate(rhos):
@@ -655,6 +671,8 @@ def test_filtered_nearly_product_pure_states_get_filters():
         except filtering.XFormError:
             continue
         diagonal += 1
+        assert filtering.normal_form(
+            states.to_mueller(st)).kind == filtering.DIAGONAL, k
         psi = np.linalg.eigh(rho)[1][:, -1]
         lam_min = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)[-1]
         assert abs(out.p_succ / (2.0 * lam_min ** 2) - 1.0) < 1e-6, k
@@ -691,21 +709,12 @@ def test_filtered_key_rate_propagates_xform():
 def test_batch_equals_scalar(monkeypatch):
     """filtered_key_rate_batch agrees with filtered_key_rate state by state,
     bit for bit: both read p_succ and the filtered spectrum off the normal
-    form by the same formulas.
+    form by the same formulas, and normal_form gives the same verdict.
 
-    The X form and the maximally mixed state are verdicts (not filterable);
-    any other exception of the scalar path is raised by the batch too. A
-    stand-in ValueError on the Werner state, which the batch hands to the
-    scalar path, checks that.
+    The X form and the maximally mixed state are verdicts (not filterable).
+    A success probability at or below _P_FLOOR is an error on both paths:
+    with the floor raised to 1, the Werner state's p_succ of 1 meets it.
     """
-    one_state = filtering.filtered_key_rate
-
-    def unresolved_werner(state):
-        if np.array_equal(state.rho, werner.rho):
-            raise ValueError("unresolved (stand-in)")
-        return one_state(state)
-
-    monkeypatch.setattr(filtering, "filtered_key_rate", unresolved_werner)
     rng = np.random.default_rng(89)
     grid = [states.make_family(states.FamilySpec(
         variant="gisin", alpha=float(a), mu=float(m))).rho
@@ -728,35 +737,50 @@ def test_batch_equals_scalar(monkeypatch):
     rhos = np.array(grid + randoms + x_states + axial + x_plain + special
                     + filtered_nearly_product_pure_states(
                         np.random.default_rng(3), 10))
-    raised, verdicts = {}, {}
+    werner_row = len(grid + randoms + x_states + axial + x_plain)
+    verdicts, trivial = {}, []
     for i, rho in enumerate(rhos):
+        st = states.TwoQubitState(rho)
+        m = states.to_mueller(st)
         try:
-            verdicts[i] = filtering.filtered_key_rate(
-                states.TwoQubitState(rho))
-        except (filtering.XFormError, filtering.TrivialNormalFormError):
+            verdicts[i] = filtering.filtered_key_rate(st)
+        except filtering.XFormError:
             verdicts[i] = None
-        except ValueError as e:
-            raised[i] = type(e)
-    assert raised and None in verdicts.values()
-    for i, exc in raised.items():
-        with pytest.raises(exc):
-            filtering.filtered_key_rate_batch(rhos[i:i + 1])
-    with pytest.raises(ValueError):
-        filtering.filtered_key_rate_batch(rhos)
-    idx = np.array(sorted(verdicts))
-    batch = filtering.filtered_key_rate_batch(rhos[idx])
-    for j, i in enumerate(idx):
-        want = verdicts[i]
-        assert batch.filterable[j] == (want is not None), i
+            assert filtering.normal_form(m).kind == filtering.XFORM, i
+            continue
+        except filtering.TrivialNormalFormError:
+            verdicts[i] = None
+            trivial.append(i)
+            with pytest.raises(filtering.TrivialNormalFormError):
+                filtering.normal_form(m)
+            continue
+        assert filtering.normal_form(m).kind == filtering.DIAGONAL, i
+    assert None in verdicts.values() and trivial == [werner_row + 1]
+    nf = filtering.normal_form(states.to_mueller(werner))
+    assert np.array_equal(nf.l1.l, np.eye(4))
+    assert np.array_equal(nf.l2.l, np.eye(4))
+    assert np.array_equal(nf.sigma, states.to_mueller(werner).m)
+    with monkeypatch.context() as patched:
+        patched.setattr(filtering, "_P_FLOOR", 1.0)
+        for call in (lambda: filtering.filtered_key_rate(werner),
+                     lambda: filtering.filtered_key_rate_batch(
+                         rhos[werner_row:werner_row + 1]),
+                     lambda: filtering.filtered_key_rate_batch(rhos)):
+            with pytest.raises(ValueError,
+                               match="^vanishing success probability$"):
+                call()
+    batch = filtering.filtered_key_rate_batch(rhos)
+    for i, want in verdicts.items():
+        assert batch.filterable[i] == (want is not None), i
         before = metrics.correlation_spectrum(states.TwoQubitState(rhos[i]))
-        assert np.array_equal(batch.lambdas_before[j], before.lambdas), i
-        assert batch.region_before[j] is metrics.classify(before), i
+        assert np.array_equal(batch.lambdas_before[i], before.lambdas), i
+        assert batch.region_before[i] is metrics.classify(before), i
         if want is None:
-            assert np.isnan(batch.p_succ[j]) and batch.r_filtered[j] == 0.0
-            assert np.isnan(batch.lambdas_after[j]).all()
+            assert np.isnan(batch.p_succ[i]) and batch.r_filtered[i] == 0.0
+            assert np.isnan(batch.lambdas_after[i]).all()
             continue
         np.testing.assert_array_equal(
-            [batch.p_succ[j], batch.r_filtered[j], *batch.lambdas_after[j]],
+            [batch.p_succ[i], batch.r_filtered[i], *batch.lambdas_after[i]],
             [want.p_succ, want.r_filtered, *want.after.spectrum.lambdas],
             err_msg=str(i))
 
