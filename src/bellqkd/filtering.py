@@ -32,8 +32,11 @@ need only boosts along z and rotations about z (Yu & Eberly, QIC 7, 459,
 times the state's populations, and where all four are above a round-off
 floor (_AXIAL_FLOOR m00) they give u, v, sigma0 and sigma3 in closed form;
 a closed-form 2x2 SVD of the (x, y) block gives the rest. Pure axial
-states and X-pattern ones have a zero population and keep the eigenspace
-route. Both routes end in the same ordering and signing of the values.
+states, and rank-2 ones on span{|00>, |11>} or span{|01>, |10>}, have one
+opposite pair of zero populations and take the closed forms too; X-pattern
+ones have one zero, or two that are not such a pair, and keep the
+eigenspace route. Both routes end in the same ordering and signing of the
+values.
 
 One function, _forms, decides the route of every state, over a stack:
 normal_form, the one-state filter path and filtered_key_rate_batch read it,
@@ -359,26 +362,29 @@ def _time_like(V: np.ndarray):
 # an axial M, the Mueller matrix of an X state, has them all exactly zero.
 _OFF_AXIAL = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 
-# An axial row takes the closed forms when its four light-cone entries are
-# all above this fraction of m00. On states with a zero population (X
-# mixtures, filtered along z or not, pure Gisin states and random X states,
-# with M from _mueller, to_mueller or _gisin_m) the entry that is zero comes
-# out at most 2.2e-16 m00, one ulp of the O(1) entries it is summed from.
-# The smallest entry of the gisin(1e-6, mu) cells is 4 mu 1e-12, 4e-14 at
-# mu = 0.01. Rows under the floor keep the eigenspace route.
+# A light-cone entry of an axial row is a population when it is above this
+# fraction of m00, and zero when it is not. On states with a zero
+# population (X mixtures, filtered along z or not, pure Gisin states and
+# random X states, with M from _mueller, to_mueller or _gisin_m) the entry
+# that is zero comes out at most 2.2e-16 m00, one ulp of the O(1) entries it
+# is summed from. The smallest entry of the gisin(1e-6, mu) cells is 4 mu
+# 1e-12, 4e-14 at mu = 0.01. Rows with one zero, or two that are not an
+# opposite pair (++ and --, or +- and -+), have the X pattern and keep the
+# eigenspace route.
 _AXIAL_FLOOR = 1e-14
 
 
 def _axial(M: np.ndarray):
     # the light-cone entries e_a^T M e_b, a, b = +- (e+- = (1, 0, 0, +-1)),
-    # in the order ++, --, +-, -+, and the mask of rows that take the
-    # closed forms. Of an axial M they are four times the populations of
-    # |00>, |11>, |01>, |10>. m00 is summed with m33 and m03 with m30 before
-    # the outer sum: on gisin(alpha, mu), where the +- entry 4 mu alpha^2 is
-    # a difference of O(1) entries, the sum in index order (m00 - m03 + m30
-    # - m33) was off by 8.0e-4 at alpha = 1e-6 and 2.2e-5 at 1e-5, against
-    # 5.0e-4 and 4.9e-6 for this grouping. A stack with no axial row (every
-    # general state) returns b = None after the zero test alone.
+    # in the order ++, --, +-, -+, those at zero set to 0, and the mask of
+    # rows that take the closed forms. Of an axial M they are four times
+    # the populations of |00>, |11>, |01>, |10>. m00 is summed with m33 and
+    # m03 with m30 before the outer sum: on gisin(alpha, mu), where the +-
+    # entry 4 mu alpha^2 is a difference of O(1) entries, the sum in index
+    # order (m00 - m03 + m30 - m33) was off by 8.0e-4 at alpha = 1e-6 and
+    # 2.2e-5 at 1e-5, against 5.0e-4 and 4.9e-6 for this grouping. A stack
+    # with no axial row (every general state) returns b = None after the
+    # zero test alone.
     ax = ~M.reshape(-1, 16)[:, _OFF_AXIAL].any(axis=-1)
     if not ax.any():
         return None, ax
@@ -386,8 +392,10 @@ def _axial(M: np.ndarray):
     t, z = m00 + m33, m00 - m33
     tz, zt = m03 + m30, m03 - m30
     b = np.array([t + tz, t - tz, z - zt, z + zt])
-    ax &= (b > _AXIAL_FLOOR * np.abs(m00)).all(axis=0)
-    return b, ax
+    pos = b > _AXIAL_FLOOR * np.abs(m00)
+    # each pair populated or at zero, and one of them populated
+    ax &= (pos[0] == pos[1]) & (pos[2] == pos[3]) & (pos[0] | pos[2])
+    return np.where(pos, b, 0.0), ax
 
 
 # LAPACK's dbdsqr takes a superdiagonal entry for zero below TOL = eps^-1/8
@@ -404,13 +412,20 @@ def _rot2(x: np.ndarray) -> np.ndarray:
 
 def _axial_form(M: np.ndarray, b: np.ndarray):
     """_eigen_form's pieces for axial M (N, 4, 4) in closed form, from the
-    light-cone entries b of _axial, all positive.
+    light-cone entries b of _axial: all positive, or one opposite pair 0.
 
     A boost along z by rapidity eta scales e+- by exp(+-eta). So M =
     B(eta1) Sigma B(eta2)^T has b++ = exp(eta1 + eta2)(sigma0 + sigma3),
     b-- = exp(-eta1 - eta2)(sigma0 + sigma3), b+- = exp(eta1 - eta2)(sigma0
     - sigma3) and b-+ = exp(eta2 - eta1)(sigma0 - sigma3), which give u =
-    (cosh eta1, 0, 0, sinh eta1), v likewise, sigma0 and sigma3. Boosts
+    (cosh eta1, 0, 0, sinh eta1), v likewise, sigma0 and sigma3. Where one
+    pair is 0 (sigma3 = +-sigma0: pure X states, and rank-2 ones on
+    span{|00>, |11>} or span{|01>, |10>}) the other pair fixes only eta1 +
+    eta2 or eta2 - eta1, the top eigenspace of W is degenerate, and the
+    member taken is eta1 = 0: exp(eta2) = sqrt(b++ / b--) or sqrt(b-+ /
+    b+-). That is the member _time_like picks on these states (u within a
+    few ulp of e0, and e0 exactly on the pure Gisin states); if its choice
+    on degenerate eigenspaces changes, this one must follow it. Boosts
     along z leave M's (x, y) block A as it is; the SVD of A (+) sigma3 is
     written with the conventions of LAPACK's gesdd, which np.linalg.svd
     runs on the eigenspace route. gesdd reflects A's first column onto x
@@ -423,8 +438,13 @@ def _axial_form(M: np.ndarray, b: np.ndarray):
     """
     n = len(M)
     pp, mm, pm, mp = b
-    # exp(eta1), exp(eta2)
-    x = np.sqrt(np.sqrt(np.array([pp * pm / (mm * mp), pp * mp / (mm * pm)])))
+    # exp(eta1), exp(eta2); a pair row's entries of 1 give eta1 = 0, then
+    # its eta2 (a pair row has (pp + mp) / (mm + pm) = pp / mm or mp / pm)
+    pair = (pp == 0.0) | (pm == 0.0)
+    q = np.where(pair, 1.0, b)
+    x = np.sqrt(np.sqrt(np.array([q[0] * q[2] / (q[1] * q[3]),
+                                  q[0] * q[3] / (q[1] * q[2])])))
+    x[1, pair] = np.sqrt((pp[pair] + mp[pair]) / (mm[pair] + pm[pair]))
     uv = np.zeros((2, n, 4))
     uv[..., 0], uv[..., 3] = (x + 1.0 / x) / 2.0, (x - 1.0 / x) / 2.0
     plus, minus = np.sqrt(pp * mm), np.sqrt(pm * mp)
@@ -510,17 +530,18 @@ def _diagonal_form(M: np.ndarray):
     """The pieces of M = l1 sigma l2^T with sigma diagonal, over a stack.
 
     M has shape (N, 4, 4). Axial rows (M exactly zero outside its (t, z)
-    and (x, y) blocks) whose four light-cone entries are above
-    _AXIAL_FLOOR m00 take _axial_form's closed forms; every other row,
-    pure and X-pattern axial rows among them, takes the construction of the
-    module docstring in _eigen_form: u = l1 e0 from the top eigenspace of
-    W, v = l2 e0 = M^T G u normalised, whitening boosts, and an SVD. Both
-    give u, v, sigma0 and an SVD of the whitened 3x3 block, from which one
-    tail orders the values and makes the rotations proper. Returns uv = (u,
-    v) and rot (2N rows each, Alice's first) with l = boost(uv) rot, sigma,
-    and the mask, which is False where u or v does not exist, or the boosts
-    do not whiten M: M has the X pattern. Those rows carry u = v = e0
-    through the steps and hold finite values of no meaning.
+    and (x, y) blocks) whose light-cone entries are all above _AXIAL_FLOOR
+    m00, or all but one opposite pair, take _axial_form's closed forms;
+    every other row, X-pattern axial rows among them, takes the
+    construction of the module docstring in _eigen_form: u = l1 e0 from the
+    top eigenspace of W, v = l2 e0 = M^T G u normalised, whitening boosts,
+    and an SVD. Both give u, v, sigma0 and an SVD of the whitened 3x3
+    block, from which one tail orders the values and makes the rotations
+    proper. Returns uv = (u, v) and rot (2N rows each, Alice's first) with
+    l = boost(uv) rot, sigma, and the mask, which is False where u or v does
+    not exist, or the boosts do not whiten M: M has the X pattern. Those
+    rows carry u = v = e0 through the steps and hold finite values of no
+    meaning.
     """
     n = len(M)
     b, ax = _axial(M)
@@ -656,9 +677,13 @@ def _forms(M: np.ndarray):
     route = np.where(bell, _BELL, _DIAG)
     route[bell & (np.abs(m[:, ::5] - _I4[0]).max(axis=-1)
                   < _ROUTE_TOL)] = _TRIVIAL
-    route[((m * m).sum(-1) > 4.0 - _ROUTE_TOL)
-          & (np.abs(M - M[:, :, :1] * M[:, :1, :]).max(axis=(-2, -1))
-             < _ROUTE_TOL)] = _PRODUCT
+    # the product test only on the pure rows, |M|_F^2 = 4
+    product = (m * m).sum(-1) > 4.0 - _ROUTE_TOL
+    if product.any():
+        P = M[product]
+        product[product] = (np.abs(P - P[:, :, :1] * P[:, :1, :])
+                            .max(axis=(-2, -1)) < _ROUTE_TOL)
+    route[product] = _PRODUCT
     todo = route == _DIAG
     uv, sigma = np.repeat(_I4[:1], 2 * n, axis=0), M.copy()
     rot = np.repeat(_I4[None, 1:, 1:], 2 * n, axis=0)

@@ -132,11 +132,31 @@ def _spectra(M: np.ndarray):
     return tuple(x[rows, order] for x in out)
 
 
+# LAPACK's gesdd scales a matrix whose largest |entry| is below
+# sqrt(tiny) / eps, or above its inverse, before the SVD and back after it,
+# which can change the last bit of the values
+_SVD_SMALL = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+# entries of a 3x3 block off its diagonal, in T.reshape(-1, 9)
+_OFF_DIAGONAL_3 = np.array([1, 2, 3, 5, 6, 7])
+
+
 def _lambdas(M: np.ndarray) -> np.ndarray:
-    # _spectra(M)[0], bit for bit, without the singular directions: the
-    # lexsort of _spectra can move a value only among ties that differ in
-    # their bits, so only rows with such ties go through _spectra
-    s = np.linalg.svd(M[:, 1:, 1:])[1]
+    # _spectra(M)[0], bit for bit, without the singular directions. A
+    # diagonal block with nonzero entries and its largest |entry| in
+    # gesdd's unscaled range has the values -sort(-|diagonal|), as gesdd
+    # leaves them: its Householder steps are the identity and dbdsqr only
+    # takes the signs off and sorts, so only the other rows run the SVD.
+    # The lexsort of _spectra can move a value only among ties that differ
+    # in their bits, so only rows with such ties go through _spectra
+    T = M[:, 1:, 1:]
+    d = np.abs(np.diagonal(T, axis1=-2, axis2=-1))
+    top = d.max(axis=-1)
+    diagonal = (~T.reshape(-1, 9)[:, _OFF_DIAGONAL_3].any(axis=-1)
+                & d.all(axis=-1) & (top >= _SVD_SMALL)
+                & (top <= 1.0 / _SVD_SMALL))
+    s = -np.sort(-d, axis=-1)
+    if not diagonal.all():
+        s[~diagonal] = np.linalg.svd(T[~diagonal])[1]
     rs = np.round(s, _TIE_DECIMALS)
     moved = (~(rs[:, 1:] < rs[:, :-1]) & (s[:, 1:] != s[:, :-1])).any(axis=-1)
     if moved.any():

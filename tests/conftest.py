@@ -97,6 +97,23 @@ def random_x_state(rng: np.random.Generator, zero: int | None = None) -> np.ndar
     return rho
 
 
+def random_pair_state(rng: np.random.Generator, pair: int,
+                      coherence: float) -> np.ndarray:
+    """An X state on span{|00>, |11>} (pair 0) or span{|01>, |10>} (pair 1):
+    random populations of the two, and the coherence between them at
+    ``coherence`` times the largest modulus positivity allows, of random
+    phase. Pure at 1, rank 2 below it, diagonal at 0. One opposite pair of
+    light-cone entries of its Mueller matrix is zero."""
+    i, j = ((0, 3), (1, 2))[pair]
+    p = rng.dirichlet(np.ones(2))
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[i, i], rho[j, j] = p
+    rho[i, j] = (np.sqrt(p[0] * p[1]) * coherence
+                 * np.exp(2j * np.pi * rng.uniform()))
+    rho[j, i] = rho[i, j].conjugate()
+    return rho
+
+
 def _su2(q) -> np.ndarray:
     a, b, c, d = np.asarray(q) / np.linalg.norm(q)
     return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from bellqkd import filtering, metrics, states
 
 from conftest import (filtered, filtered_nearly_product_pure_states,
                       haar_su2, random_density_matrix, random_filter,
-                      random_x_state, sl2c_filters, x_mixture)
+                      random_pair_state, random_x_state, sl2c_filters,
+                      x_mixture)
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -645,7 +648,9 @@ def test_filtered_key_rate_pure_state_oracle():
     """On pure states p_succ is the optimal single-copy concentration
     2 lam_min^2, lam_min the smaller Schmidt coefficient (Vidal, PRL 83,
     1046, 1999). The 1e-12 bound grows as 1/lam_min^2 below lam_min = 0.03:
-    nearly product states condition p_succ so (3.3e-12 at lam_min 2.7e-3)."""
+    nearly product states condition p_succ so (3.3e-12 at lam_min 2.7e-3).
+    The same holds on the batch path for the pure Gisin states gisin(alpha,
+    1), whose lam_min is min(alpha, beta), through the closed forms."""
     rng = np.random.default_rng(97)
     for k in range(300):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -655,6 +660,11 @@ def test_filtered_key_rate_pure_state_oracle():
             states.TwoQubitState(np.outer(psi, psi.conj())))
         rtol = 1e-12 * max(1.0, (0.03 / lam_min) ** 2)
         assert abs(out.p_succ / (2.0 * lam_min ** 2) - 1.0) < rtol, k
+    al = np.linspace(0.002, 0.998, 2000)
+    out = filtering._batch(states._gisin_m(al, 1.0))
+    lam_min = np.minimum(al, np.sqrt(1.0 - al * al))
+    rtol = 1e-12 * np.maximum(1.0, (0.03 / lam_min) ** 2)
+    assert (np.abs(out.p_succ / (2.0 * lam_min ** 2) - 1.0) < rtol).all()
 
 
 def test_filtered_nearly_product_pure_states_get_filters():
@@ -728,16 +738,20 @@ def test_batch_equals_scalar(monkeypatch):
     # unfiltered X mixtures the eigenspace route
     axial = [random_x_state(rng) for _ in range(40)]
     x_plain = [x_mixture(rng.uniform(0.05, 0.95), 1 + k % 2) for k in range(6)]
+    # pair states, closed forms on both paths: pure, rank-2, and diagonal
+    # (diag(a, 0, 0, d) and diag(0, b, c, 0), no coherence)
+    pairs = [random_pair_state(rng, k % 2, c)
+             for k, c in enumerate((1.0, 1.0, 0.6, 0.3, 0.0, 0.0))]
     products = [np.diag([0.0, 1.0, 0.0, 0.0]),
                 np.kron(np.outer([0.6, 0.8j], [0.6, -0.8j]),
                         np.outer([1.0, 1.0], [1.0, 1.0]) / 2),
                 np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)]
     werner = states.make_family(states.FamilySpec(variant="werner", p=0.7))
     special = [werner.rho, np.eye(4) / 4, *products]
-    rhos = np.array(grid + randoms + x_states + axial + x_plain + special
-                    + filtered_nearly_product_pure_states(
+    rhos = np.array(grid + randoms + x_states + axial + x_plain + pairs
+                    + special + filtered_nearly_product_pure_states(
                         np.random.default_rng(3), 10))
-    werner_row = len(grid + randoms + x_states + axial + x_plain)
+    werner_row = len(grid + randoms + x_states + axial + x_plain + pairs)
     verdicts, trivial = {}, []
     for i, rho in enumerate(rhos):
         st = states.TwoQubitState(rho)
@@ -842,22 +856,35 @@ def eigen_route(monkeypatch, M):
 def test_axial_route_matches_eigen_route(monkeypatch):
     """_diagonal_form takes axial rows through closed forms, and the
     eigenspace construction that every other row takes is their oracle. On
-    the 200 x 200 Gisin grid (mu < 1) and on random X states both give the
-    same verdict, sigma and p_succ to 1e-9 relative, and the same rotations:
-    to 1e-12 on the grid. On the X states they are the same up to one sign
-    flip of two singular pairs on both sides at once, which leaves l1 sigma
-    l2^T as it is; the eigen route's whitened block holds round-off outside
-    its blocks, and LAPACK's Householder steps turn that into flips on 2 %
-    of these states. They agree to the round-off divided by the gap between
-    singular values (at most 4.1e-16 sigma0 / gap)."""
+    the 200 x 200 Gisin grid, on random X states and on pair states (pure,
+    rank-2 and diagonal X states on span{|00>, |11>} or span{|01>, |10>})
+    both give the same verdict, sigma and p_succ to 1e-9 relative, and the
+    same rotations: to 1e-12 on the grid. On the other states they are the
+    same up to one sign flip of two singular pairs on both sides at once,
+    which leaves l1 sigma l2^T as it is; the eigen route's whitened block
+    holds round-off outside its blocks, and LAPACK's Householder steps turn
+    that into flips on 2 % of the X states. They agree to the round-off
+    divided by the gap between singular values (at most 4.1e-16 sigma0 /
+    gap), and to 1e-12 on the pair states, whose gaps can be 0.
+
+    A pair row (the mu = 1 row of the grid and the pair states) fixes only
+    eta1 + eta2 or eta2 - eta1, and the closed forms take u = e0: the eigen
+    route's u is e0 to a few ulp (exactly on the grid)."""
     al, mu = (g.ravel() for g in np.meshgrid(
         np.linspace(0.002, 0.998, 200), np.linspace(0.01, 1.0, 200),
         indexing="ij"))
     rng = np.random.default_rng(17)
-    grid = states._gisin_m(al[mu < 1.0], mu[mu < 1.0])
+    grid = states._gisin_m(al, mu)
     xs = states._mueller(np.array([random_x_state(rng) for _ in range(2000)]))
-    for M in (grid, xs):
-        assert filtering._axial(M)[1].all()
+    pairs = states._mueller(np.array([
+        random_pair_state(rng, k % 2, (1.0, rng.uniform(), 0.0)[k // 2 % 3])
+        for k in range(1200)]))
+    e0 = np.eye(4)[0]
+    for M, n_pair in ((grid, 200), (xs, 0), (pairs, len(pairs))):
+        b, ax = filtering._axial(M)
+        assert ax.all()
+        pair = (b == 0.0).any(axis=0)
+        assert pair.sum() == n_pair
         uv, rot, sigma, ok = filtering._diagonal_form(M)
         uv_e, rot_e, sigma_e, ok_e = eigen_route(monkeypatch, M)
         assert ok.all() and ok_e.all()
@@ -865,30 +892,45 @@ def test_axial_route_matches_eigen_route(monkeypatch):
         assert (np.abs(sigma - sigma_e).max(axis=(-2, -1)) <= 1e-9 * s0).all()
         p, p_e = filtering._p_succ(uv, sigma), filtering._p_succ(uv_e, sigma_e)
         np.testing.assert_allclose(p, p_e, rtol=1e-9, atol=0)
+        u, u_e = uv[:len(M)][pair], uv_e[:len(M)][pair]
+        assert (u == e0).all()
+        assert (np.abs(u_e - e0) <= 4 * np.finfo(float).eps).all()
         R, R_e = (r.reshape(2, len(M), 3, 3) for r in (rot, rot_e))
         if M is grid:
+            assert (u_e == e0).all()
             np.testing.assert_allclose(R, R_e, rtol=0, atol=1e-12)
             continue
         flips = np.sign(np.einsum("snji,snjk->snik", R_e, R).diagonal(
             axis1=-2, axis2=-1))
         assert (flips[0] == flips[1]).all() and (flips.prod(axis=-1) == 1).all()
+        dev = np.abs(R_e * flips[..., None, :] - R).max(axis=(0, -2, -1))
+        if M is pairs:
+            assert (dev <= 1e-12).all()
+            continue
         s = np.sort(np.abs(sigma.diagonal(axis1=-2, axis2=-1)[:, 1:]), axis=-1)
         gap = np.diff(s, axis=-1).min(axis=-1)
-        dev = np.abs(R_e * flips[..., None, :] - R).max(axis=(0, -2, -1))
         assert (dev <= 1e-12 + 1e-14 * s0 / gap).all()
 
 
 def test_axial_states_with_a_zero_population_stay_xform():
-    """An X state with one zero population has the X pattern. That
-    population's light-cone entry comes out as round-off, up to 2.2e-16
-    m00, below _AXIAL_FLOOR, whichever seam builds M, so these states keep
-    the eigenspace route and its XForm verdict; the route's
+    """An X state with one zero population, or two that are not an
+    opposite pair (|00> and |11>, or |01> and |10>), has the X pattern.
+    A zero population's light-cone entry comes out as round-off, up to
+    2.2e-16 m00, below _AXIAL_FLOOR, whichever seam builds M, so these
+    states keep the eigenspace route and its XForm verdict; the route's
     LorentzTransforms are valid. With no floor, x_mixture(0.6, 1) took the
-    closed forms from one seam and not from the other."""
+    closed forms from one seam and not from the other. The two-zero states
+    are the products |0><0| x diag(c, d), |1><1| x diag(c, d) and their
+    mirrors."""
     rng = np.random.default_rng(23)
     rhos = [x_mixture(0.6, 1), x_mixture(0.3, 2),
             *(x_mixture(rng.uniform(0.05, 0.95), 1 + k % 2) for k in range(20)),
             *(random_x_state(rng, zero=k % 4) for k in range(40))]
+    for k in range(8):
+        c = rng.uniform(0.05, 0.95)
+        one, mixed = np.diag(np.eye(2)[k % 2]), np.diag([c, 1.0 - c])
+        rho = np.kron(one, mixed) if k < 4 else np.kron(mixed, one)
+        rhos.append(rho.astype(complex))
     for i, rho in enumerate(rhos):
         for M in (states.to_mueller(states.TwoQubitState(rho)).m,
                   states._mueller(rho)):
@@ -899,6 +941,28 @@ def test_axial_states_with_a_zero_population_stay_xform():
             assert_lorentz(nf.l2.l)
     assert not filtering.filtered_key_rate_batch(np.array(rhos)).filterable.any()
     assert not filtering._batch(states._mueller(np.array(rhos))).filterable.any()
+
+
+def test_sweep_grid_batch_makes_no_lapack_call(monkeypatch):
+    """Every cell of the sweep's 50 x 50 Gisin grid, the pure mu = 1 row and
+    the (0.002, 1) edge cell among them, takes closed forms: the lambdas
+    before filtering of its diagonal correlation block, and the axial
+    normal form. So _batch runs no SVD or eigendecomposition on the grid,
+    and gives what it gives with LAPACK at hand."""
+    al, mu, _ = sweep_grid()
+    assert ((al == 0.002) & (mu == 1.0)).any()
+    M = states._gisin_m(al, mu)
+    want = filtering._batch(M)
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK call on the sweep path")
+
+    monkeypatch.setattr(np.linalg, "svd", lapack)
+    monkeypatch.setattr(np.linalg, "eig", lapack)
+    got = filtering._batch(M)
+    for field in dataclasses.fields(filtering.BatchOutcome):
+        np.testing.assert_array_equal(getattr(got, field.name),
+                                      getattr(want, field.name), field.name)
 
 
 def test_filtered_key_rate_matches_applied_filters():

@@ -53,12 +53,26 @@ def _rotations(rng, n):
     return q * np.sign(np.linalg.det(q))[:, None, None]
 
 
+def same_bits(a, b) -> bool:
+    # equal to the bit: -0.0 and 0.0 differ
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
+
+
 def test_lambdas_equal_spectra_bit_for_bit():
     """_lambdas gives _spectra's lambdas bit for bit on rows with no ties,
     exact ties (Gisin T = diag(c, c, t)) and ties at 12 decimals whose bits
     differ (s and s(1 + 1e-14) under random rotations), in one mixed stack
     and in batches of one. On the last kind _spectra's order moves values
-    away from the SVD's, so the rows with such ties must go through it."""
+    away from the SVD's, so the rows with such ties must go through it.
+
+    Diagonal blocks take -sort(-|diagonal|) in place of the SVD: with
+    negative entries and sign-flipped ties that is gesdd's result. With a 0
+    or -0.0 entry (gesdd keeps the sign of a zero), or scaled to 1e-300 or
+    1e200 (past gesdd's scaling thresholds, where its rescaling moves the
+    last bit) it is not, and those rows must take the SVD. The scaled
+    blocks hold one magnitude thrice: values of 1e-300 are all ties at 12
+    decimals, which would send rows of distinct values through _spectra."""
     rng = np.random.default_rng(41)
     n = 200
     no_ties = rng.uniform(-0.5, 0.5, size=(n, 3, 3))
@@ -69,16 +83,36 @@ def test_lambdas_equal_spectra_bit_for_bit():
     d[:, 0, 0], d[:, 1, 1] = s, s * (1.0 + 1e-14)
     d[:, 2, 2] = rng.uniform(0.0, 0.09, n)
     near = _rotations(rng, n) @ d @ _rotations(rng, n)
-    M = np.zeros((3 * n, 4, 4))
+    # diagonal blocks: signed entries with sign-flipped ties and near-ties;
+    # the same with one zero of either sign; one signed magnitude, scaled
+    # to 1e-300 and to 1e200
+    signs = rng.choice([-1.0, 1.0], (n, 3))
+    e = rng.uniform(0.01, 1.0, size=(n, 3)) * signs
+    e[::3, 1] = -e[::3, 0]
+    e[1::3, 2] = -e[1::3, 1] * (1.0 + 1e-15)
+    z = e.copy()
+    z[np.arange(n), rng.integers(0, 3, n)] = np.where(
+        np.arange(n) % 2, -0.0, 0.0)
+    one = rng.uniform(0.01, 1.0, size=(n, 1)) * signs
+    diagonal = np.zeros((4 * n, 3, 3))
+    diagonal[:, [0, 1, 2], [0, 1, 2]] = np.concatenate(
+        [e, z, 1e-300 * one, 1e200 * one])
+    M = np.zeros((7 * n, 4, 4))
     M[:, 0, 0] = 1.0
-    M[:, 1:, 1:] = np.concatenate([no_ties, exact, near])
+    M[:, 1:, 1:] = np.concatenate([no_ties, exact, near, diagonal])
     want = metrics._spectra(M)[0]
     svd = np.linalg.svd(M[:, 1:, 1:])[1]
     moved = (svd != want).any(axis=-1)
-    assert not moved[:2 * n].any() and moved[2 * n:].sum() > n // 4
-    assert np.array_equal(metrics._lambdas(M), want)
+    assert not moved[:2 * n].any() and moved[2 * n:3 * n].sum() > n // 4
+    closed = -np.sort(-np.abs(np.diagonal(M[3 * n:, 1:, 1:], axis1=-2,
+                                          axis2=-1)), axis=-1)
+    assert same_bits(closed[:n], want[3 * n:4 * n])
+    for k in (1, 2, 3):  # rows the closed form would get wrong
+        assert not same_bits(closed[k * n:(k + 1) * n],
+                             want[(3 + k) * n:(4 + k) * n]), k
+    assert same_bits(metrics._lambdas(M), want)
     for i in range(len(M)):
-        assert np.array_equal(metrics._lambdas(M[i:i + 1]), want[i:i + 1]), i
+        assert same_bits(metrics._lambdas(M[i:i + 1]), want[i:i + 1]), i
 
 
 def test_spectrum_bell_and_werner():
