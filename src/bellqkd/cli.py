@@ -202,7 +202,7 @@ def _parse_range(text: str, lo: float, hi: float) -> np.ndarray:
 # Cells per call of filtering._batch, written to the CSV before the next
 # call, so a sweep of any size holds one chunk of states and rows. The
 # temporaries of a call grow with its size: the 2,450-cell sweep in one call
-# peaks 10 MiB above the one-state loop, in calls of 256 it does not.
+# raised a fresh process's max RSS by 2.0 MiB, in calls of 256 by 0.9 MiB.
 _SWEEP_CHUNK = 256
 
 

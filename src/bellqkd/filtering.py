@@ -35,14 +35,15 @@ a closed-form 2x2 SVD of the (x, y) block gives the rest. Pure axial
 states, and rank-2 ones on span{|00>, |11>} or span{|01>, |10>}, have one
 opposite pair of zero populations and take the closed forms too; X-pattern
 ones have one zero, or two that are not such a pair, and keep the
-eigenspace route. Both routes end in the same ordering and signing of the
-values.
+eigenspace route. Both give u, v, sigma0 and sigma's other entries up to
+order and sign; one step orders and signs them and builds the rotations.
 
 One function, _forms, decides the route of every state, over a stack:
 normal_form, the one-state filter path and filtered_key_rate_batch read it,
 and no state of a batch goes through filtered_key_rate. None applies the
-filters: the filtered state's Mueller matrix is sigma / sigma0, and
-|det f| = 1 / (w0 + |w|) makes p_succ = sigma0 / ((u0 + |u|)(v0 + |v|)).
+filters: the filtered state's Mueller matrix is sigma / sigma0, |det f| =
+1 / (w0 + |w|) makes p_succ = sigma0 / ((u0 + |u|)(v0 + |v|)), and the
+batch, which builds no rotation, sorts |values| / sigma0 for its lambdas.
 
 Entanglement measures (Wootters concurrence, entanglement of formation)
 live here too since the filtering analysis is what consumes them.
@@ -328,7 +329,6 @@ def _boost(u: np.ndarray) -> np.ndarray:
 
 # B * _INVERT is the inverse G B G of a pure boost B, which is _boost(G u)
 _INVERT = np.outer(_GD, _GD)
-_AXES = np.arange(3)
 
 
 def _spatial(R: np.ndarray) -> np.ndarray:
@@ -411,7 +411,7 @@ def _rot2(x: np.ndarray) -> np.ndarray:
 
 
 def _axial_form(M: np.ndarray, b: np.ndarray):
-    """_eigen_form's pieces for axial M (N, 4, 4) in closed form, from the
+    """_eigen_form's values for axial M (N, 4, 4) in closed form, from the
     light-cone entries b of _axial: all positive, or one opposite pair 0.
 
     A boost along z by rapidity eta scales e+- by exp(+-eta). So M =
@@ -426,17 +426,9 @@ def _axial_form(M: np.ndarray, b: np.ndarray):
     b+-). That is the member _time_like picks on these states (u within a
     few ulp of e0, and e0 exactly on the pure Gisin states); if its choice
     on degenerate eigenspaces changes, this one must follow it. Boosts
-    along z leave M's (x, y) block A as it is; the SVD of A (+) sigma3 is
-    written with the conventions of LAPACK's gesdd, which np.linalg.svd
-    runs on the eigenspace route. gesdd reflects A's first column onto x
-    (Householder), then turns the triangle this leaves by the rotation of
-    dlasv2, whose column of the larger value has a positive x entry (y when
-    the triangle's second diagonal entry is the larger), or by none where
-    dbdsqr splits the triangle as diagonal, and makes each value nonnegative
-    by a sign on the right. So the rotations are that route's wherever its
-    whitened block is exactly axial and A's values are apart.
+    along z leave M's (x, y) block A as it is: the other values are those
+    of A (+) sigma3, in no order, and _axial_rotations takes the pieces.
     """
-    n = len(M)
     pp, mm, pm, mp = b
     # exp(eta1), exp(eta2); a pair row's entries of 1 give eta1 = 0, then
     # its eta2 (a pair row has (pp + mp) / (mm + pm) = pp / mm or mp / pm)
@@ -445,7 +437,7 @@ def _axial_form(M: np.ndarray, b: np.ndarray):
     x = np.sqrt(np.sqrt(np.array([q[0] * q[2] / (q[1] * q[3]),
                                   q[0] * q[3] / (q[1] * q[2])])))
     x[1, pair] = np.sqrt((pp[pair] + mp[pair]) / (mm[pair] + pm[pair]))
-    uv = np.zeros((2, n, 4))
+    uv = np.zeros((2, len(M), 4))
     uv[..., 0], uv[..., 3] = (x + 1.0 / x) / 2.0, (x - 1.0 / x) / 2.0
     plus, minus = np.sqrt(pp * mm), np.sqrt(pm * mp)
     s3 = (plus - minus) / 2.0
@@ -459,42 +451,55 @@ def _axial_form(M: np.ndarray, b: np.ndarray):
     g = np.where(refl, (axx * axy + ayx * ayy) / fr, axy)
     h = np.where(refl, (ayx * axy - axx * ayy) / fr, ayy)
     fa, ha = np.abs(f), np.abs(h)
-    # the triangle is rot(phi) diag(q + r, q - r) rot(th), or diagonal where
-    # |g| is below dbdsqr's bound; its smallest-value estimate runs over the
-    # 3x3 block's diagonal f, h, sigma3 and superdiagonal g, 0
-    a1, a2 = np.arctan2(g, f - h), np.arctan2(-g, f + h)
+    # the triangle's values q +- r, or |f| and |h| where |g| is below
+    # dbdsqr's bound; its smallest-value estimate runs over the 3x3 block's
+    # diagonal f, h, sigma3 and superdiagonal g, 0
     q, r = np.hypot(f + h, g) / 2.0, np.hypot(f - h, g) / 2.0
     low = np.minimum(np.minimum(
         fa, ha * fa / np.maximum(fa + np.abs(g), _TINY)), np.abs(s3))
     split = np.abs(g) <= _GESDD_TOL * low / np.sqrt(3.0)
+    d = np.stack([(plus + minus) / 2.0, np.where(split, fa, q + r),
+                  np.where(split, ha, np.abs(q - r)), np.abs(s3)], axis=-1)
+    return (uv.reshape(-1, 4), d), (axx, ayx, f, g, h, q, r, s3, split)
+
+
+def _axial_rotations(axx, ayx, f, g, h, q, r, s3, split):
+    """U, Vt of the SVD of A (+) sigma3 from _axial_form's pieces, in the
+    order of its values, as LAPACK's gesdd (np.linalg.svd on the eigenspace
+    route) leaves them: it reflects A's first column onto x (Householder),
+    then turns the triangle [[f, g], [0, h]] this leaves by the rotation of
+    dlasv2, whose column of the larger value has a positive x entry (y when
+    h is the larger), or by none where dbdsqr splits the triangle as
+    diagonal, and makes each value nonnegative by a sign on the right. So
+    the rotations are that route's wherever its whitened block is exactly
+    axial and A's values are apart.
+    """
+    # the triangle is rot(phi) diag(q + r, q - r) rot(th), or diagonal
+    a1, a2 = np.arctan2(g, f - h), np.arctan2(-g, f + h)
     phi = np.where(split, 0.0, (a2 + a1) / 2.0)
     th = np.where(split, 0.0, (a2 - a1) / 2.0)
-    lead = np.where(ha > fa, np.sin(phi), np.cos(phi))
+    lead = np.where(np.abs(h) > np.abs(f), np.sin(phi), np.cos(phi))
     sign = np.where(~split & (lead < 0.0), -1.0, 1.0)
     right = np.stack([np.where(split & (f < 0.0), -sign, sign),
                       np.where(np.where(split, h < 0.0, q < r), -sign, sign)],
                      axis=-1)
-    s = np.stack([np.where(split, fa, q + r),
-                  np.where(split, ha, np.abs(q - r)), np.abs(s3)], axis=-1)
-    U, Vt = np.zeros((2, n, 3, 3))
+    U, Vt = np.zeros((2, len(f), 3, 3))
     U[:, :2, :2] = _rot2(phi) * sign[:, None, None]
+    refl = ayx != 0.0
     if refl.any():
         H = np.stack([axx, ayx, ayx, -axx], axis=-1)[refl].reshape(-1, 2, 2)
         U[refl, :2, :2] = H / f[refl, None, None] @ U[refl, :2, :2]
     Vt[:, :2, :2] = _rot2(th) * right[:, :, None]
     U[:, 2, 2] = 1.0
     Vt[:, 2, 2] = np.where(s3 < 0.0, -1.0, 1.0)
-    # values descending, as gesdd leaves them
-    order = np.argsort(-s, axis=-1, kind="stable")
-    rows = np.arange(n)[:, None]
-    return (uv[0], uv[1], (plus + minus) / 2.0,
-            U[rows, :, order].swapaxes(-1, -2), s[rows, order], Vt[rows, order])
+    return U, Vt
 
 
 def _eigen_form(M: np.ndarray):
-    """u = l1 e0, v = l2 e0, sigma0 and the SVD (R1, s, R2t) of the
-    whitened 3x3 block, over a stack M (N, 4, 4), and the mask of rows whose
-    u, v exist and whiten M, from the top eigenspace of W."""
+    """uv = (u, v) (2N rows, u = l1 e0 first, v = l2 e0), d = (sigma0, s)
+    with s the singular values of the whitened 3x3 block, its rotations
+    (R1, R2t), and the mask of rows whose u, v exist and whiten M, over a
+    stack M (N, 4, 4), from the top eigenspace of W."""
     n = len(M)
     e0 = _I4[0]
     W = M @ _G @ M.swapaxes(-1, -2) @ _G
@@ -519,69 +524,67 @@ def _eigen_form(M: np.ndarray):
     ok &= (nv >= 1e-12) & (v[:, 0] > 0)  # else v is not time-like
     v = v / np.sqrt(np.where(ok, nv, 1.0))[:, None]
     v[~ok] = e0
-    B = _boost(np.concatenate([u, v]))
+    uv = np.concatenate([u, v])
+    B = _boost(uv)
     Mw = (B[:n] * _INVERT) @ M @ (B[n:] * _INVERT)
     off = np.abs(np.concatenate([Mw[:, 0, 1:], Mw[:, 1:, 0]], axis=-1))
     ok &= off.max(axis=-1) <= _WHITEN_RTOL * Mw[:, 0, 0]  # else the X pattern
-    return (u, v, Mw[:, 0, 0], *np.linalg.svd(Mw[:, 1:, 1:])), ok
+    R1, s, R2t = np.linalg.svd(Mw[:, 1:, 1:])
+    return (uv, np.column_stack([Mw[:, 0, 0], s])), (R1, R2t), ok
 
 
 def _diagonal_form(M: np.ndarray):
-    """The pieces of M = l1 sigma l2^T with sigma diagonal, over a stack.
+    """The values of M = l1 sigma l2^T with sigma diagonal, over a stack.
 
     M has shape (N, 4, 4). Axial rows (M exactly zero outside its (t, z)
     and (x, y) blocks) whose light-cone entries are all above _AXIAL_FLOOR
     m00, or all but one opposite pair, take _axial_form's closed forms;
-    every other row, X-pattern axial rows among them, takes the
-    construction of the module docstring in _eigen_form: u = l1 e0 from the
-    top eigenspace of W, v = l2 e0 = M^T G u normalised, whitening boosts,
-    and an SVD. Both give u, v, sigma0 and an SVD of the whitened 3x3
-    block, from which one tail orders the values and makes the rotations
-    proper. Returns uv = (u, v) and rot (2N rows each, Alice's first) with
-    l = boost(uv) rot, sigma, and the mask, which is False where u or v does
-    not exist, or the boosts do not whiten M: M has the X pattern. Those
-    rows carry u = v = e0 through the steps and hold finite values of no
-    meaning.
+    every other row, X-pattern axial rows among them, takes _eigen_form.
+    Returns their uv and d, the mask, and the pieces that _rotations takes.
+    The mask is False where u or v does not exist, or the boosts do not
+    whiten M: M has the X pattern. Those rows carry u = v = e0 through the
+    steps and hold finite values of no meaning.
     """
-    n = len(M)
     b, ax = _axial(M)
     if not ax.any():
-        parts, ok = _eigen_form(M)
-    else:
-        # every row through the closed forms, on light-cone entries of 1
-        # where M is not axial, then those rows' pieces from _eigen_form
-        parts = _axial_form(M, np.where(ax, b, 1.0))
-        ok = np.ones(n, dtype=bool)
-        if not ax.all():
-            eigen, ok[~ax] = _eigen_form(M[~ax])
-            for x, y in zip(parts, eigen):
-                x[~ax] = y
-    u, v, sigma0, R1, s, R2t = parts
-    # singular values equal to _EIG_RTOL sigma0 in the order of the axes
-    # their directions lie along, so Gisin-type states keep diagonal filters
-    key = np.abs(R1).argmax(axis=-2)
-    gap = s[:, :-1] - s[:, 1:] > _EIG_RTOL * sigma0[:, None]
-    key[:, 1:] += 3 * gap.cumsum(axis=-1)
-    order = key.argsort(kind="stable")
-    R = np.array([R1.swapaxes(-1, -2), R2t])  # row i: the directions of s[i]
-    if (order != _AXES).any():
-        rows = np.arange(n)[:, None]
-        s, R = s[rows, order], R[:, rows, order]
-    # proper rotations; each reflection signs the last value. R is
-    # orthogonal to round-off, so the triple product of its rows, written
-    # out over the entries r[3 i + j] = R[..., i, j], has the sign of det R
-    r = R.reshape(-1, 9).T
-    det = (r[0] * (r[4] * r[8] - r[5] * r[7])
-           + r[1] * (r[5] * r[6] - r[3] * r[8])
-           + r[2] * (r[3] * r[7] - r[4] * r[6]))
-    sign = np.where(det < 0, -1.0, 1.0).reshape(2, n)
+        (uv, d), eigen, ok = _eigen_form(M)
+        return uv, d, ok, (ax, None, eigen)
+    # every row through the closed forms, on light-cone entries of 1 where M
+    # is not axial, then those rows' values from _eigen_form
+    (uv, d), tri = _axial_form(M, np.where(ax, b, 1.0))
+    ok, eigen = np.ones(len(M), dtype=bool), None
+    if not ax.all():
+        (uv[np.tile(~ax, 2)], d[~ax]), eigen, ok[~ax] = _eigen_form(M[~ax])
+    return uv, d, ok, (ax, tri, eigen)
+
+
+def _rotations(d: np.ndarray, ax, tri, eigen):
+    """rot (2N rows, Alice's first) and sigma (N, 4, 4) of _diagonal_form's
+    values d and pieces, with l = boost(uv) rot and sigma diagonal."""
+    n = len(d)
+    R1, R2t = eigen if tri is None else _axial_rotations(*tri)
+    if tri is not None and eigen is not None:  # eigen: the rows off ax
+        R1[~ax], R2t[~ax] = eigen
+    # values descending, as gesdd leaves them, then those equal to _EIG_RTOL
+    # sigma0 in the order of the axes their directions lie along, so
+    # Gisin-type states keep diagonal filters
+    rows = np.arange(n)[:, None]
+    first = np.argsort(-d[:, 1:], axis=-1, kind="stable")
+    s = d[rows, 1 + first]
+    key = np.abs(R1).argmax(axis=-2)[rows, first]
+    key[:, 1:] += 3 * (s[:, :-1] - s[:, 1:] > _EIG_RTOL * d[:, :1]).cumsum(-1)
+    order = first[rows, key.argsort(kind="stable")]
+    s = d[rows, 1 + order]
+    # row i: the directions of s[i]
+    R = np.array([R1.swapaxes(-1, -2), R2t])[:, rows, order]
+    # proper rotations; each reflection signs the last value
+    sign = np.where(np.linalg.det(R) < 0, -1.0, 1.0)
     R[:, :, 2] *= sign[..., None]
     s[:, 2] *= sign[0] * sign[1]
     sigma = np.zeros((n, 4, 4))
-    sigma[:, 0, 0] = sigma0
+    sigma[:, 0, 0] = d[:, 0]
     sigma.reshape(n, 16)[:, 5::5] = s
-    return (np.concatenate([u, v]), R.swapaxes(-1, -2).reshape(-1, 3, 3),
-            sigma, ok)
+    return R.swapaxes(-1, -2).reshape(-1, 3, 3), sigma
 
 
 def _rotation_to(r: np.ndarray) -> LorentzTransform:
@@ -661,17 +664,16 @@ _DIAG, _BELL, _XF, _PRODUCT, _TRIVIAL = range(5)
 # or to a pure product (1, r)(1, s)^T, |M|_F^2 = 4, to take that route
 _ROUTE_TOL = 1e-12
 _OFF_DIAGONAL = 1.0 - _I4.ravel()
+_MIXED = np.diag(_I4[0])
 
 
 def _forms(M: np.ndarray):
-    """Route codes of a stack M (N, 4, 4) and _diagonal_form's uv, rot, sigma.
-
-    Only _DIAG rows run _diagonal_form. Every other row carries u = v = e0,
-    rot = I and sigma = M, so a Bell-diagonal M is its own Diagonal form;
-    _XF rows hold _diagonal_form's finite values of no meaning, which a
-    caller masks.
-    """
-    n = len(M)
+    """Route codes of a stack M (N, 4, 4) and _diagonal_form's uv, d and
+    pieces on its N rows (pieces None where no row is _DIAG-bound). Other
+    rows enter _diagonal_form as the maximally mixed state, whose closed
+    form is u = v = e0 exactly, and carry d = the diagonal of M, so a
+    Bell-diagonal M is its own Diagonal form; _XF rows hold finite values
+    of no meaning, which a caller masks."""
     m = M.reshape(-1, 16)
     bell = np.abs(m * _OFF_DIAGONAL).max(axis=-1) < _ROUTE_TOL
     route = np.where(bell, _BELL, _DIAG)
@@ -684,14 +686,15 @@ def _forms(M: np.ndarray):
         product[product] = (np.abs(P - P[:, :, :1] * P[:, :1, :])
                             .max(axis=(-2, -1)) < _ROUTE_TOL)
     route[product] = _PRODUCT
-    todo = route == _DIAG
-    uv, sigma = np.repeat(_I4[:1], 2 * n, axis=0), M.copy()
-    rot = np.repeat(_I4[None, 1:, 1:], 2 * n, axis=0)
-    if todo.any():  # _diagonal_form on no rows costs about 130 us
-        both = np.concatenate([todo, todo])
-        uv[both], rot[both], sigma[todo], ok = _diagonal_form(M[todo])
-        route[np.flatnonzero(todo)[~ok]] = _XF
-    return route, uv, rot, sigma
+    other = route != _DIAG
+    if other.all():  # _diagonal_form on no rows costs about 130 us
+        return route, np.repeat(_I4[:1], 2 * len(M), 0), m[:, ::5].copy(), None
+    Mx = M.copy()
+    Mx[other] = _MIXED
+    uv, d, ok, pieces = _diagonal_form(Mx)
+    d[other] = m[other, ::5]
+    route[~(other | ok)] = _XF
+    return route, uv, d, pieces
 
 
 # the X pattern of every pure product state
@@ -713,12 +716,15 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
     the module docstring names. The maximally mixed state is rejected.
     """
     M = np.asarray(m.m, dtype=float)
-    route, uv, rot, sigma = _forms(M[None])
-    if route[0] <= _BELL:
+    route, uv, d, pieces = _forms(M[None])
+    if route[0] == _BELL:  # l1 = l2 = I, checked once
+        l1 = LorentzTransform(_I4)
+        return NormalForm(kind=DIAGONAL, l1=l1, l2=l1, sigma=M)
+    if route[0] == _DIAG:
+        rot, sigma = _rotations(d, *pieces)
         L = _boost(uv) @ _spatial(rot)
-        l1 = LorentzTransform(L[0])  # a Bell-diagonal M checks I once
-        l2 = l1 if (L[0] == L[1]).all() else LorentzTransform(L[1])
-        return NormalForm(kind=DIAGONAL, l1=l1, l2=l2, sigma=sigma[0])
+        return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L[0]),
+                          l2=LorentzTransform(L[1]), sigma=sigma[0])
     if route[0] == _TRIVIAL:
         raise TrivialNormalFormError("normal form undefined/trivial")
     if route[0] == _PRODUCT:
@@ -752,12 +758,13 @@ def optimal_filters(state: TwoQubitState) -> FilterPair:
 
 def _diagonal(m: MuellerMatrix):
     # p_succ and (1, 4, 4) sigma of the optimal filters of Mueller matrix m,
-    # and the uv, rot of _diagonal_form they come from (None: identities)
-    route, uv, rot, sigma = _forms(m.m[None])
+    # and the uv, rot they come from (None: identities)
+    route, uv, d, pieces = _forms(m.m[None])
     if route[0] == _BELL:
-        return min(m.m[0, 0], 1.0), sigma, None
+        return min(m.m[0, 0], 1.0), m.m[None], None
     if route[0] == _DIAG:
-        return _p_succ(uv, sigma)[0], sigma, (uv, rot)
+        rot, sigma = _rotations(d, *pieces)
+        return _p_succ(uv, d)[0], sigma, (uv, rot)
     if route[0] == _TRIVIAL:
         raise TrivialNormalFormError("normal form undefined/trivial")
     if route[0] == _PRODUCT:
@@ -781,29 +788,20 @@ def _filtered_state(m: MuellerMatrix):
     p, sigma, parts = _diagonal(m)
     if not p > _P_FLOOR:
         raise ValueError("vanishing success probability")
-    lam, axes, signs = (x[0] for x in _after_spectra(sigma))
-    dirs = _I4[1:, 1:][axes]
-    spec = _metrics.CorrelationSpectrum(lam, dirs, dirs, signs)
+    d = sigma[0].diagonal()[1:] / sigma[0, 0, 0]
+    axes = np.argsort(-np.abs(d), kind="stable")  # ties in axis order
+    d, dirs = d[axes], _I4[1:, 1:][axes]
+    spec = _metrics.CorrelationSpectrum(np.abs(d), dirs, dirs,
+                                        np.where(d < 0.0, -1.0, 1.0))
     return float(p), sigma[0] / sigma[0, 0, 0], spec, parts
 
 
-def _p_succ(uv: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    # p_succ of the filters of _diagonal_form's uv and sigma, over a stack:
-    # each has |det f| = 1 / (w0 + |w|), and they take M to sigma. p <= 1
-    # for filters of norm 1; round-off can put it an ulp above.
+def _p_succ(uv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # p_succ of the filters of _forms' uv and d, over a stack: each has |det
+    # f| = 1 / (w0 + |w|); p <= 1, but round-off can put it an ulp above
     w = uv[:, 0] + np.linalg.norm(uv[:, 1:], axis=-1)
-    n = len(sigma)
-    return np.minimum(sigma[:, 0, 0] / (w[:n] * w[n:]), 1.0)
-
-
-def _after_spectra(sigma: np.ndarray):
-    # correlation_spectrum of the filtered states, whose Mueller matrices
-    # are sigma / sigma0, over a stack: lambdas, the axes they lie along,
-    # and signs; lambdas sorted descending, ties in axis order
-    d = np.diagonal(sigma, axis1=-2, axis2=-1)[:, 1:] / sigma[:, :1, 0]
-    axes = np.argsort(-np.abs(d), axis=-1, kind="stable")
-    d = np.take_along_axis(d, axes, axis=-1)
-    return np.abs(d), axes, np.where(d < 0.0, -1.0, 1.0)
+    n = len(d)
+    return np.minimum(d[:, 0] / (w[:n] * w[n:]), 1.0)
 
 
 def apply_filters(state: TwoQubitState, pair: FilterPair):
@@ -911,10 +909,10 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     """:func:`filtered_key_rate` over density matrices rhos of shape (N, 4, 4).
 
     All N states take the route dispatch of :func:`filtered_key_rate` at
-    once, and none goes through it: verdicts and numbers are its own to the
-    bit, the X form and the maximally mixed state are not filterable, and a
-    p_succ at or below the p floor raises ValueError. Temporaries grow with
-    N, so ``sweep`` passes its cells' Mueller matrices 256 at a time.
+    once, for the normal form's values only: verdicts and numbers are its
+    own to the bit, the X form and the maximally mixed state are not
+    filterable, and a p_succ at or below the p floor raises ValueError.
+    Temporaries grow with N, so ``sweep`` passes its cells 256 at a time.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
     return _batch(_states._mueller(rhos))
@@ -923,13 +921,14 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
 def _batch(M: np.ndarray) -> BatchOutcome:
     # filtered_key_rate_batch over Mueller matrices M (N, 4, 4)
     lam = _metrics._lambdas(M)
-    route, uv, _, sigma = _forms(M)
+    route, uv, d, _ = _forms(M)
     ok = route <= _BELL
-    p = np.where(ok, _p_succ(uv, sigma), np.nan)
+    p = np.where(ok, _p_succ(uv, d), np.nan)
     if not (p[ok] > _P_FLOOR).all():
         raise ValueError("vanishing success probability")
+    # sigma / sigma0 holds the values d[1:] / sigma0 up to order and sign
     lam_after = np.full((len(M), 3), np.nan)
-    lam_after[ok] = _after_spectra(sigma[ok])[0]
+    lam_after[ok] = np.sort(np.abs(d[ok, 1:]) / d[ok, :1], axis=-1)[:, ::-1]
     r = np.where(ok, p * np.maximum(
         0.0, _metrics._r_min(_metrics._qber(lam_after, 2))), 0.0)
     region = _metrics._REGIONS[_metrics._region_index(lam)]

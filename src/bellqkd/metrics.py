@@ -99,8 +99,9 @@ def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
     """SVD of the correlation block with a deterministic sign/order convention.
 
     Singular values are stored non-negative; the sign of each correlation
-    moves into ``signs``. Near-equal singular values (within 1e-12) are
-    ordered by comparing Alice's canonicalized directions lexicographically.
+    moves into ``signs``. Near-equal singular values (within 1e-12, in units
+    of the largest where it is above 1) are ordered by comparing Alice's
+    canonicalized directions lexicographically.
     """
     spectra = _spectra(to_mueller(state).m[None])
     return CorrelationSpectrum(*(x[0] for x in spectra))
@@ -109,6 +110,13 @@ def correlation_spectrum(state: TwoQubitState) -> CorrelationSpectrum:
 # singular values equal at this many decimals are ties, which
 # correlation_spectrum orders by their directions
 _TIE_DECIMALS = 12
+
+
+def _tie_key(s: np.ndarray) -> np.ndarray:
+    # descending values s (N, 3) rounded to _TIE_DECIMALS in units of the
+    # largest where it is above 1, which cannot overflow; rows at or below 1
+    # keep the plain rounding bit for bit
+    return np.round(s / np.maximum(s[:, :1], 1.0), _TIE_DECIMALS)
 
 
 def _spectra(M: np.ndarray):
@@ -123,7 +131,7 @@ def _spectra(M: np.ndarray):
     flip = np.where((d * first).sum(axis=-1) < 0, -1.0, 1.0)
     d = d * flip[..., None]
     out = s, d[:, :3], d[:, 3:], flip[:, :3] * flip[:, 3:]
-    rs = np.round(s, _TIE_DECIMALS)
+    rs = _tie_key(s)
     if (rs[:, 1:] < rs[:, :-1]).all():  # no ties: the SVD order stands
         return out
     a = out[1]
@@ -157,7 +165,7 @@ def _lambdas(M: np.ndarray) -> np.ndarray:
     s = -np.sort(-d, axis=-1)
     if not diagonal.all():
         s[~diagonal] = np.linalg.svd(T[~diagonal])[1]
-    rs = np.round(s, _TIE_DECIMALS)
+    rs = _tie_key(s)
     moved = (~(rs[:, 1:] < rs[:, :-1]) & (s[:, 1:] != s[:, :-1])).any(axis=-1)
     if moved.any():
         s[moved] = _spectra(M[moved])[0]

@@ -793,9 +793,12 @@ def test_batch_equals_scalar(monkeypatch):
             assert np.isnan(batch.p_succ[i]) and batch.r_filtered[i] == 0.0
             assert np.isnan(batch.lambdas_after[i]).all()
             continue
+        got = np.array([batch.p_succ[i], batch.r_filtered[i],
+                        *batch.lambdas_after[i]])
         np.testing.assert_array_equal(
-            [batch.p_succ[i], batch.r_filtered[i], *batch.lambdas_after[i]],
-            [want.p_succ, want.r_filtered, *want.after.spectrum.lambdas],
+            got.view(np.int64),
+            np.array([want.p_succ, want.r_filtered,
+                      *want.after.spectrum.lambdas]).view(np.int64),
             err_msg=str(i))
 
 
@@ -846,11 +849,44 @@ def test_batch_gisin_small_alpha_lines():
         assert np.abs(out.p_succ / want - 1.0).max() <= bound, al
 
 
+def diagonal_form(M):
+    # _diagonal_form's uv, d and mask with the rotations and sigma that
+    # _rotations builds from its pieces
+    uv, d, ok, pieces = filtering._diagonal_form(M)
+    return uv, d, *filtering._rotations(d, *pieces), ok
+
+
 def eigen_route(monkeypatch, M):
-    # _diagonal_form with every row sent through the eigenspace construction
+    # diagonal_form with every row sent through the eigenspace construction
     with monkeypatch.context() as patched:
         patched.setattr(filtering, "_AXIAL_FLOOR", np.inf)
-        return filtering._diagonal_form(M)
+        return diagonal_form(M)
+
+
+def test_forms_values_and_pieces_follow_every_row():
+    """On a stack that mixes routes, _forms' uv, d and pieces all follow
+    the stack's rows: _rotations on them gives each _DIAG row's normal_form
+    sigma and boosts bit for bit, and the Bell and maximally mixed rows
+    carry u = v = e0 and d = the diagonal of M."""
+    rhos = [states.make_family(states.FamilySpec(variant="werner", p=0.7)).rho,
+            GISIN.rho, np.eye(4) / 4.0, RHO_X,
+            random_density_matrix(np.random.default_rng(19), rank=3)]
+    ms = [states.to_mueller(states.TwoQubitState(rho)) for rho in rhos]
+    M = np.array([m.m for m in ms])
+    route, uv, d, pieces = filtering._forms(M)
+    assert route.tolist() == [filtering._BELL, filtering._DIAG,
+                              filtering._TRIVIAL, filtering._XF,
+                              filtering._DIAG]
+    rot, sigma = filtering._rotations(d, *pieces)
+    L = filtering._boost(uv) @ filtering._spatial(rot)
+    for i in (1, 4):
+        nf = filtering.normal_form(ms[i])
+        assert np.array_equal(sigma[i], nf.sigma)
+        assert np.array_equal(L[i], nf.l1.l)
+        assert np.array_equal(L[len(M) + i], nf.l2.l)
+    for i in (0, 2):
+        assert np.array_equal(uv[[i, len(M) + i]], filtering._I4[[0, 0]])
+        assert np.array_equal(d[i], M[i].diagonal())
 
 
 def test_axial_route_matches_eigen_route(monkeypatch):
@@ -885,12 +921,12 @@ def test_axial_route_matches_eigen_route(monkeypatch):
         assert ax.all()
         pair = (b == 0.0).any(axis=0)
         assert pair.sum() == n_pair
-        uv, rot, sigma, ok = filtering._diagonal_form(M)
-        uv_e, rot_e, sigma_e, ok_e = eigen_route(monkeypatch, M)
+        uv, d, rot, sigma, ok = diagonal_form(M)
+        uv_e, d_e, rot_e, sigma_e, ok_e = eigen_route(monkeypatch, M)
         assert ok.all() and ok_e.all()
         s0 = sigma_e[:, 0, 0]
         assert (np.abs(sigma - sigma_e).max(axis=(-2, -1)) <= 1e-9 * s0).all()
-        p, p_e = filtering._p_succ(uv, sigma), filtering._p_succ(uv_e, sigma_e)
+        p, p_e = filtering._p_succ(uv, d), filtering._p_succ(uv_e, d_e)
         np.testing.assert_allclose(p, p_e, rtol=1e-9, atol=0)
         u, u_e = uv[:len(M)][pair], uv_e[:len(M)][pair]
         assert (u == e0).all()
@@ -948,7 +984,9 @@ def test_sweep_grid_batch_makes_no_lapack_call(monkeypatch):
     the (0.002, 1) edge cell among them, takes closed forms: the lambdas
     before filtering of its diagonal correlation block, and the axial
     normal form. So _batch runs no SVD or eigendecomposition on the grid,
-    and gives what it gives with LAPACK at hand."""
+    and gives what it gives with LAPACK at hand. It reads values only: the
+    rotations, the ordering and signing of the values, and sigma are not
+    built."""
     al, mu, _ = sweep_grid()
     assert ((al == 0.002) & (mu == 1.0)).any()
     M = states._gisin_m(al, mu)
@@ -957,8 +995,13 @@ def test_sweep_grid_batch_makes_no_lapack_call(monkeypatch):
     def lapack(*args, **kwargs):
         raise AssertionError("LAPACK call on the sweep path")
 
+    def rotations(*args, **kwargs):
+        raise AssertionError("rotations built on the sweep path")
+
     monkeypatch.setattr(np.linalg, "svd", lapack)
     monkeypatch.setattr(np.linalg, "eig", lapack)
+    monkeypatch.setattr(filtering, "_rot2", rotations)
+    monkeypatch.setattr(filtering, "_rotations", rotations)
     got = filtering._batch(M)
     for field in dataclasses.fields(filtering.BatchOutcome):
         np.testing.assert_array_equal(getattr(got, field.name),

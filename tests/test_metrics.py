@@ -115,6 +115,22 @@ def test_lambdas_equal_spectra_bit_for_bit():
         assert same_bits(metrics._lambdas(M[i:i + 1]), want[i:i + 1]), i
 
 
+def test_tie_test_does_not_overflow():
+    """Values above 1.8e296 overflowed the tie test's rounding at 12
+    decimals: with the warning ignored, every value came out a tie, and
+    _lambdas returned T = diag(3e300, 2e300, 1e300)'s values ascending.
+    Rounded in units of the largest value, they are apart, and the spectrum
+    comes out descending from _lambdas and _spectra, diagonal or not (the
+    suite turns the RuntimeWarning into an error)."""
+    M = np.zeros((2, 4, 4))
+    M[:, 0, 0] = 1.0
+    M[:, 1:, 1:] = np.diag([3e300, 2e300, 1e300])
+    M[1, 1:, 1:] = _rotations(np.random.default_rng(5), 1)[0] @ M[1, 1:, 1:]
+    for lam in (metrics._lambdas(M), metrics._spectra(M)[0]):
+        np.testing.assert_allclose(lam, [[3e300, 2e300, 1e300]] * 2,
+                                   rtol=1e-14)
+
+
 def test_spectrum_bell_and_werner():
     spec = metrics.correlation_spectrum(states.bell_state("psi-"))
     assert np.allclose(spec.lambdas, [1, 1, 1], atol=1e-14)
