@@ -7,45 +7,15 @@ Lorentz normal form behind optimal single-copy filtering, and a seeded
 Monte Carlo of the filter-then-measure protocol.
 """
 
-from .states import (FamilySpec, InvalidStateError, MuellerMatrix,
-                     StateFileError, TwoQubitState, ValidityReport,
-                     bell_state, depolarize, from_mueller, from_pauli,
-                     load_state_file, make_family, parse_state_spec,
-                     to_mueller, validate)
-from .metrics import (ChshSettings, CorrelationSpectrum, KeyMetrics, Region,
-                      chsh_max, chsh_value, classify, correlation_spectrum,
-                      key_rate_symmetric, optimal_chsh_settings, q_crit,
-                      q_crit_symmetric, qber)
-from .filtering import (BatchOutcome, EntanglementReport, FilterOutcome,
-                        FilterPair, LorentzTransform, MetricsSummary,
-                        NormalForm, TrivialNormalFormError, XFormError,
-                        apply_filters, concurrence, entanglement_of_formation,
-                        entanglement_report, filter_to_lorentz,
-                        filtered_key_rate, filtered_key_rate_batch,
-                        lorentz_to_filter, normal_form, optimal_filters,
-                        summarize_metrics)
-from .protocol_sim import (SimConfig, SimReport, born_joint_distribution,
-                           run_protocol)
+# filtering comes first: its source compiles before numpy loads, which
+# keeps the peak memory of the import lower
+from . import filtering, metrics, protocol_sim, states
+from .filtering import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .protocol_sim import *  # noqa: F403
+from .states import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FamilySpec", "InvalidStateError", "MuellerMatrix", "StateFileError",
-    "TwoQubitState", "ValidityReport", "bell_state", "depolarize",
-    "from_mueller", "from_pauli", "load_state_file", "make_family",
-    "parse_state_spec", "to_mueller", "validate",
-    "ChshSettings", "CorrelationSpectrum", "KeyMetrics", "Region",
-    "chsh_max", "chsh_value", "classify", "correlation_spectrum",
-    "key_rate_symmetric", "optimal_chsh_settings", "q_crit",
-    "q_crit_symmetric", "qber",
-    "BatchOutcome", "EntanglementReport", "FilterOutcome", "FilterPair",
-    "LorentzTransform",
-    "MetricsSummary", "NormalForm", "TrivialNormalFormError", "XFormError",
-    "apply_filters", "concurrence", "entanglement_of_formation",
-    "entanglement_report", "filter_to_lorentz", "filtered_key_rate",
-    "filtered_key_rate_batch",
-    "lorentz_to_filter", "normal_form", "optimal_filters",
-    "summarize_metrics",
-    "SimConfig", "SimReport", "born_joint_distribution", "run_protocol",
-    "__version__",
-]
+__all__ = [name for mod in (states, metrics, filtering, protocol_sim)
+           for name in mod.__all__] + ["__version__"]

@@ -9,6 +9,7 @@ diff cleanly across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -165,22 +166,9 @@ def _cmd_simulate(args) -> int:
         rep = protocol_sim.run_protocol(st, cfg)
     except filtering.XFormError as e:
         raise _CliError(EXIT_XFORM, str(e))
-    except filtering.TrivialNormalFormError as e:
+    except ValueError as e:  # trivial form, vanishing p_succ, no sifted rounds
         raise _CliError(EXIT_INVALID_STATE, str(e))
-    except ValueError as e:  # zero sifted rounds
-        raise _CliError(EXIT_INVALID_STATE, str(e))
-    _emit({
-        "rounds_total": rep.rounds_total,
-        "rounds_filter_accepted": rep.rounds_filter_accepted,
-        "rounds_sifted": rep.rounds_sifted,
-        "key_bits": rep.key_bits,
-        "q_emp": rep.q_emp,
-        "s_emp": rep.s_emp,
-        "accept_rate": rep.accept_rate,
-        "q_analytic": rep.q_analytic,
-        "s_analytic": rep.s_analytic,
-        "p_succ_analytic": rep.p_succ_analytic,
-    })
+    _emit({f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)})
     return EXIT_OK
 
 

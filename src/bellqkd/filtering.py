@@ -57,7 +57,7 @@ import numpy as np
 
 from . import metrics as _metrics
 from . import states as _states
-from .states import MuellerMatrix, TwoQubitState, to_mueller
+from .states import MuellerMatrix, TwoQubitState, _frozen_array, to_mueller
 
 __all__ = [
     "MINKOWSKI_G",
@@ -94,13 +94,12 @@ _GD = np.diag(_G)
 _I4 = np.eye(4)
 
 # rows: vec(sigma_i), i = 0..3, with sigma_0 the identity
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]).reshape(4, 4)
+_PAULI = np.reshape(_states.PAULI, (4, 4))
 # double-cover intertwiner: rows are vec(sigma_i^T)/sqrt(2)
 _V = _PAULI.conj() / np.sqrt(2.0)
 # U = q0 I - i q.sigma for the unit quaternion q
 _QUAT = _PAULI * np.array([1, -1j, -1j, -1j])[:, None]
-_YY = np.kron(_PAULI[2].reshape(2, 2), _PAULI[2].reshape(2, 2)).real
+_YY = _states._KRON[2, 2].real
 
 DIAGONAL = "Diagonal"
 XFORM = "XForm"
@@ -146,8 +145,7 @@ class LorentzTransform:
     l: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.l, dtype=float)
-        a.setflags(write=False)
+        a = _frozen_array(self.l, float)
         object.__setattr__(self, "l", a)
         if a.shape != (4, 4):
             raise ValueError(f"l must be 4x4, got {a.shape}")
@@ -173,8 +171,7 @@ class FilterPair:
 
     def __post_init__(self):
         for name in ("m1", "n1"):
-            a = np.array(getattr(self, name), dtype=complex)
-            a.setflags(write=False)
+            a = _frozen_array(getattr(self, name), complex)
             object.__setattr__(self, name, a)
             if a.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {a.shape}")
@@ -208,9 +205,7 @@ class NormalForm:
     xform_params: tuple | None = None
 
     def __post_init__(self):
-        a = np.array(self.sigma, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "sigma", a)
+        object.__setattr__(self, "sigma", _frozen_array(self.sigma, float))
 
 
 @dataclass(frozen=True)
@@ -911,11 +906,16 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     All N states take the route dispatch of :func:`filtered_key_rate` at
     once, for the normal form's values only: verdicts and numbers are its
     own to the bit, the X form and the maximally mixed state are not
-    filterable, and a p_succ at or below the p floor raises ValueError.
+    filterable, and a p_succ at or below the p floor raises ValueError. So
+    does a trace off 1 by more than validate allows, NaN included: the
+    route tests are absolute bounds, for unit trace.
     Temporaries grow with N, so ``sweep`` passes its cells 256 at a time.
     """
-    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    return _batch(_states._mueller(rhos))
+    M = _states._mueller(np.asarray(rhos, dtype=complex).reshape(-1, 4, 4))
+    bad = np.flatnonzero(~(np.abs(M[:, 0, 0] - 1.0) <= _states._TRACE_TOL))
+    if len(bad):
+        raise ValueError(f"trace != 1 in row {bad[0]}")
+    return _batch(M)
 
 
 def _batch(M: np.ndarray) -> BatchOutcome:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import TwoQubitState, to_mueller
+from .states import TwoQubitState, _frozen_array, to_mueller
 
 __all__ = [
     "CorrelationSpectrum",
@@ -57,9 +57,8 @@ class CorrelationSpectrum:
 
     def __post_init__(self):
         for name in ("lambdas", "alice_dirs", "bob_dirs", "signs"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name,
+                               _frozen_array(getattr(self, name), float))
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,9 @@ class ChshSettings:
 
     def __post_init__(self):
         for name in ("a0", "a1", "b0", "b1"):
-            a = np.array(getattr(self, name), dtype=float).reshape(3)
+            a = _frozen_array(getattr(self, name), float).reshape(3)
             if not abs(np.linalg.norm(a) - 1.0) <= _UNIT_TOL:  # NaN fails
                 raise ValueError(f"{name} must be a unit vector")
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
 
@@ -198,10 +196,8 @@ def optimal_chsh_settings(spec: CorrelationSpectrum) -> ChshSettings:
 
 
 def chsh_value(state: TwoQubitState, settings: ChshSettings) -> float:
-    """Bell-operator expectation a0.T(b0+b1) + a1.T(b0-b1)."""
-    for v in (settings.a0, settings.a1, settings.b0, settings.b1):
-        if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails
-            raise ValueError("measurement directions must be unit vectors")
+    """Bell-operator expectation a0.T(b0+b1) + a1.T(b0-b1); the settings
+    hold unit vectors, which :class:`ChshSettings` checked."""
     return _chsh(to_mueller(state).t_block, settings)
 
 

@@ -36,6 +36,7 @@ __all__ = ["SimConfig", "SimReport", "born_joint_distribution",
 
 _BLOCK = 1 << 19  # draw-block length; part of the reproducibility contract
 _SLICE = 1 << 14  # rounds per read of a draw; any length gives the same draws
+_BORN_TOL = 1e-12  # round-off of a Born table's entries and of its row sums
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ def _born_table(m: np.ndarray, ab: np.ndarray) -> np.ndarray:
     x = np.ones(ab.shape[:2] + (2, 4))
     x[..., 1:] = ab[:, :, None] * [[1.0], [-1.0]]
     probs = (x[0] @ m @ x[1].swapaxes(-1, -2)).reshape(-1, 4) / 4.0
-    if not (probs.min() >= -1e-12
-            and np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12):
+    if not (probs.min() >= -_BORN_TOL
+            and np.abs(probs.sum(axis=-1) - 1.0).max() <= _BORN_TOL):
         raise RuntimeError("Born probabilities inconsistent")
     return np.clip(probs, 0.0, None)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,10 +132,11 @@ def _is_number(x) -> bool:
 class FamilySpec:
     """Parametric state family: bell(label), werner(p), or gisin(alpha, mu).
 
-    ``depolarize_p`` mixes with white noise after construction
-    (p = 1 leaves the state untouched). For the gisin variant the second
-    amplitude is always derived from normalization, beta = sqrt(1 - alpha^2);
-    it is intentionally not an input.
+    Its fields are the keys a state file's "family" object may hold; white
+    noise on top comes from the file's top-level "depolarize". For the
+    gisin variant the second amplitude is always derived from
+    normalization, beta = sqrt(1 - alpha^2); it is intentionally not an
+    input.
     """
 
     variant: str
@@ -143,10 +144,9 @@ class FamilySpec:
     p: float | None = None
     alpha: float | None = None
     mu: float | None = None
-    depolarize_p: float | None = None
 
     def __post_init__(self):
-        for name in ("p", "alpha", "mu", "depolarize_p"):
+        for name in ("p", "alpha", "mu"):
             x = getattr(self, name)
             if x is not None and not _is_number(x):
                 raise StateFileError(f"{name} must be a number, got {x!r}")
@@ -163,9 +163,10 @@ class FamilySpec:
                 raise StateFileError(f"gisin mu out of range: {self.mu!r}")
         else:
             raise StateFileError(f"unknown family variant: {self.variant!r}")
-        if self.depolarize_p is not None and not 0.0 <= self.depolarize_p <= 1.0:
-            raise StateFileError(
-                f"depolarize_p out of range: {self.depolarize_p!r}")
+
+
+# the keys of a state file's "family" object
+_FAMILY_KEYS = frozenset(f.name for f in fields(FamilySpec))
 
 
 def from_pauli(r, s, T) -> TwoQubitState:
@@ -228,7 +229,7 @@ def to_mueller(state: TwoQubitState) -> MuellerMatrix:
 
 def from_mueller(m: MuellerMatrix) -> TwoQubitState:
     """Inverse of :func:`to_mueller`; requires m[0][0] = 1 (unit trace)."""
-    if not abs(m.m[0, 0] - 1.0) <= 1e-12:  # NaN fails
+    if not abs(m.m[0, 0] - 1.0) <= _TRACE_TOL:  # NaN fails
         raise InvalidStateError(f"m[0][0] must be 1, got {m.m[0, 0]!r}")
     return TwoQubitState(_pauli_rho(m.m))
 
@@ -277,14 +278,10 @@ def _gisin_rho(alpha, mu) -> np.ndarray:
 def make_family(spec: FamilySpec) -> TwoQubitState:
     """Construct the state a :class:`FamilySpec` describes."""
     if spec.variant == "bell":
-        state = bell_state(spec.label)
-    elif spec.variant == "werner":
-        state = depolarize(bell_state("psi-"), spec.p)
-    else:
-        state = TwoQubitState(_gisin_rho(spec.alpha, spec.mu))
-    if spec.depolarize_p is not None:
-        state = depolarize(state, spec.depolarize_p)
-    return state
+        return bell_state(spec.label)
+    if spec.variant == "werner":
+        return depolarize(bell_state("psi-"), spec.p)
+    return TwoQubitState(_gisin_rho(spec.alpha, spec.mu))
 
 
 def depolarize(state: TwoQubitState, p: float) -> TwoQubitState:
@@ -334,18 +331,10 @@ def parse_state_spec(doc: dict) -> TwoQubitState:
         fam = doc["family"]
         if not isinstance(fam, dict) or "variant" not in fam:
             raise StateFileError('"family" must be an object with a "variant"')
-        known = {"variant", "label", "p", "alpha", "mu"}
-        extra = set(fam) - known
+        extra = set(fam) - _FAMILY_KEYS
         if extra:
             raise StateFileError(f"unknown family keys: {sorted(extra)}")
-        spec = FamilySpec(
-            variant=fam.get("variant"),
-            label=fam.get("label"),
-            p=fam.get("p"),
-            alpha=fam.get("alpha"),
-            mu=fam.get("mu"),
-        )
-        state = make_family(spec)
+        state = make_family(FamilySpec(**fam))
 
     if "depolarize" in doc:
         p = doc["depolarize"]

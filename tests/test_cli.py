@@ -120,11 +120,16 @@ def test_non_utf8_state_file(capsys, tmp_path, command):
     assert err.startswith("error: malformed state file: ")
 
 
-def test_analyze_unknown_keys(capsys, tmp_path):
-    path = write(tmp_path, "extra.json",
-                 {"family": {"variant": "bell", "label": "psi-"}, "oops": 1})
-    code, _, err = run(capsys, ["analyze", path])
-    assert code == 64 and "oops" in err
+@pytest.mark.parametrize("doc, key", [
+    ({"family": {"variant": "bell", "label": "psi-"}, "oops": 1}, "oops"),
+    # white noise comes only from the top-level "depolarize"
+    ({"family": {"variant": "werner", "p": 0.5, "depolarize_p": 0.5}},
+     "depolarize_p"),
+], ids=["top-level", "family"])
+def test_analyze_unknown_keys(capsys, tmp_path, doc, key):
+    path = write(tmp_path, "extra.json", doc)
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 64 and out == "" and key in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -309,6 +314,30 @@ def test_simulate_with_filtering(capsys, gisin_file):
     assert doc["rounds_filter_accepted"] < doc["rounds_total"]
     assert abs(doc["p_succ_analytic"] - 0.395648316) < 1e-9
     assert abs(doc["accept_rate"] - 0.3956) < 0.01
+
+
+SIMULATE_FROZEN = """{
+  "rounds_total": 20000,
+  "rounds_filter_accepted": 7853,
+  "rounds_sifted": 3523,
+  "key_bits": 3523,
+  "q_emp": 0.0911155265,
+  "s_emp": 2.28877537,
+  "accept_rate": 0.39265,
+  "q_analytic": 0.0918092064,
+  "s_analytic": 2.30907583,
+  "p_succ_analytic": 0.395648316
+}
+"""
+
+
+def test_simulate_bytes_frozen(capsys, gisin_file):
+    """The report of a filtered run, byte for byte: field order, 9
+    significant digits and the draws of seed 9."""
+    code, out, err = run(capsys, ["simulate", gisin_file, "--rounds", "20000",
+                                  "--seed", "9", "--with-filtering"])
+    assert code == 0 and err == ""
+    assert out == SIMULATE_FROZEN
 
 
 def test_simulate_xform_exit(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -800,6 +801,36 @@ def test_batch_equals_scalar(monkeypatch):
             np.array([want.p_succ, want.r_filtered,
                       *want.after.spectrum.lambdas]).view(np.int64),
             err_msg=str(i))
+
+
+def test_batch_rejects_trace_off_one():
+    """The batch's route tests are absolute, for unit trace, so it raises
+    ValueError on a row whose trace is off 1 by more than validate allows,
+    NaN included, and warns of nothing: 1e300 I once overflowed the purity
+    test and came back filterable, 1e-300 I met the p floor, and 3 times a
+    Werner state came back filterable with p_succ 1. The same rows
+    normalised give the verdicts of the normalised states."""
+    werner = states.make_family(states.FamilySpec(variant="werner", p=0.8)).rho
+    mixed = np.eye(4, dtype=complex) / 4.0
+    nan = np.full((4, 4), np.nan)
+    for rho, want in ((1e300 * np.eye(4), mixed), (1e-300 * np.eye(4), mixed),
+                      (3.0 * werner, werner), (nan, None)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^trace != 1 in row 1$"):
+                filtering.filtered_key_rate_batch([werner, rho, werner])
+            if want is None:
+                continue
+            got = filtering.filtered_key_rate_batch(
+                [rho / np.trace(rho).real])
+        ref = filtering.filtered_key_rate_batch([want])
+        assert np.array_equal(got.filterable, ref.filterable)
+        assert np.array_equal(got.region_before, ref.region_before)
+        for name in ("lambdas_before", "p_succ", "lambdas_after",
+                     "r_filtered"):
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                       rtol=1e-15, atol=1e-15)
+    assert not filtering.filtered_key_rate_batch([mixed]).filterable[0]
 
 
 def sweep_grid():

@@ -243,8 +243,6 @@ def test_family_spec_ranges():
         states.FamilySpec(variant="nope")
     with pytest.raises(states.StateFileError):
         states.FamilySpec(variant="bell", label="psi")
-    with pytest.raises(states.StateFileError):
-        states.FamilySpec(variant="bell", label="psi-", depolarize_p=2.0)
     # beta is derived, never an input
     assert not hasattr(states.FamilySpec(variant="gisin", alpha=0.5, mu=0.5),
                        "beta")

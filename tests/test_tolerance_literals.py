@@ -20,8 +20,8 @@ MAX_LITERALS = {
     "cli.py": 0,
     "filtering.py": 18,
     "metrics.py": 5,
-    "protocol_sim.py": 2,
-    "states.py": 4,
+    "protocol_sim.py": 1,
+    "states.py": 3,
 }
 
 PACKAGE = Path(bellqkd.__file__).parent
