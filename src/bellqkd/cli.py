@@ -136,14 +136,14 @@ def _cmd_filter(args) -> int:
         raise _CliError(EXIT_INVALID_STATE, str(e))
     except filtering.XFormError as e:
         _emit({
-            "kind": "XForm",
+            "kind": filtering.XFORM,
             "xform_params": {"a": e.a, "b": e.b, "c": e.c, "d": e.d},
             "separable": e.separable,
             "message": str(e),
         })
         return EXIT_XFORM
     _emit({
-        "kind": "Diagonal",
+        "kind": filtering.DIAGONAL,
         "before": _summary_doc(out.before),
         "after": _summary_doc(out.after),
         "filters": {"m1": _c2x2(out.filters.m1), "n1": _c2x2(out.filters.n1)},

@@ -61,7 +61,6 @@ from .states import MuellerMatrix, TwoQubitState, _frozen_array, to_mueller
 
 __all__ = [
     "MINKOWSKI_G",
-    "LorentzTransform",
     "FilterPair",
     "NormalForm",
     "FilterOutcome",
@@ -72,9 +71,7 @@ __all__ = [
     "DIAGONAL",
     "XFORM",
     "filter_to_lorentz",
-    "lorentz_to_filter",
     "normal_form",
-    "optimal_filters",
     "apply_filters",
     "concurrence",
     "entanglement_of_formation",
@@ -105,16 +102,14 @@ DIAGONAL = "Diagonal"
 XFORM = "XForm"
 
 # Bounds of the checks; the one-state path and the batch share _P_FLOOR.
-#
-# |L G L^T - G| entry by entry relative to max(1, |L| |L|^T), |det L - 1|
-# relative to max(1, L00^2), and 1 - L00 of a LorentzTransform: the Diagonal
-# l1, l2 stay within 1.5e-15 of them on the 200x200 Gisin grid (L00 up to
-# 250) and on filtered pure, nearly product states (L00 up to 1.3e4).
-_LORENTZ_TOL = 1e-9
 # operator norm of a filter above 1: the closed forms leave 1e-15
 _NORM_TOL = 1e-12
 # success probability below which a filter pair's output is undefined
 _P_FLOOR = 1e-12
+# most |M_ij| = |tr rho (sigma_i x sigma_j)| <= sum |lambda_k| of a state
+# that validate accepts: trace within _TRACE_TOL of 1, and at most three
+# eigenvalues below 0, none below _PSD_TOL
+_M_BOUND = 1.0 + _states._TRACE_TOL + 6.0 * abs(_states._PSD_TOL)
 
 
 class TrivialNormalFormError(ValueError):
@@ -136,30 +131,6 @@ class XFormError(RuntimeError):
         if self.separable:
             msg += "; d=0 corresponds to a separable initial state"
         super().__init__(msg)
-
-
-@dataclass(frozen=True)
-class LorentzTransform:
-    """Proper orthochronous Lorentz matrix: LGL^T = G, det = +1, L00 >= 1."""
-
-    l: np.ndarray
-
-    def __post_init__(self):
-        a = _frozen_array(self.l, float)
-        object.__setattr__(self, "l", a)
-        if a.shape != (4, 4):
-            raise ValueError(f"l must be 4x4, got {a.shape}")
-        # round-off of L G L^T grows entry by entry with |L| |L|^T, that of
-        # det L with L00^2; det > 0 rejects det = -1 at any L00
-        dev = (np.abs(a @ _G @ a.T - _G)
-               / np.maximum(1.0, np.abs(a) @ np.abs(a).T)).max()
-        det = np.linalg.det(a)
-        if not (dev <= _LORENTZ_TOL and det > 0.0
-                and abs(det - 1.0) <= _LORENTZ_TOL * max(1.0, a[0, 0] ** 2)
-                and a[0, 0] >= 1.0 - _LORENTZ_TOL):  # NaN fails
-            raise ValueError(
-                f"not proper orthochronous (relative metric dev {dev:.3e}, "
-                f"det {det:.12g}, L00 {a[0, 0]:.12g})")
 
 
 @dataclass(frozen=True)
@@ -196,16 +167,19 @@ def _norm_ok(f: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Decomposition m = l1 . sigma . l2^T; xform_params only for kind=XForm."""
+    """m = l1 . sigma . l2^T with l1, l2 proper orthochronous, all three
+    read-only 4x4 arrays; xform_params only for kind=XForm."""
 
     kind: str
-    l1: LorentzTransform
-    l2: LorentzTransform
+    l1: np.ndarray
+    l2: np.ndarray
     sigma: np.ndarray
     xform_params: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _frozen_array(self.sigma, float))
+        for name in ("l1", "l2", "sigma"):
+            object.__setattr__(self, name,
+                               _frozen_array(getattr(self, name), float))
 
 
 @dataclass(frozen=True)
@@ -238,7 +212,7 @@ class FilterOutcome:
 # ---------------------------------------------------------------------------
 # double cover
 
-def filter_to_lorentz(f) -> LorentzTransform:
+def filter_to_lorentz(f) -> np.ndarray:
     """Lorentz image of a filter: L = V (f x f*) V^dag / |det f|."""
     f = np.asarray(f, dtype=complex).reshape(2, 2)
     det = np.linalg.det(f)
@@ -248,27 +222,14 @@ def filter_to_lorentz(f) -> LorentzTransform:
     resid = np.abs(L.imag).max()
     if not resid <= 1e-10:
         raise ValueError(f"Lorentz image not real (residue {resid:.3e})")
-    return LorentzTransform(L.real)
-
-
-def lorentz_to_filter(l: LorentzTransform) -> np.ndarray:
-    """The filter of unit operator norm whose Lorentz image is l, up to phase.
-
-    The polar decomposition l = boost(w) R with w = l e0 gives it in closed
-    form, H(w) U(R) / sqrt(w0 + |w|): H(w) = ((w0 + 1) I + w.sigma) /
-    sqrt(2 (w0 + 1)) is the positive filter of boost(w), with operator norm
-    sqrt(w0 + |w|), and U(R) the SU(2) element of the rotation R.
-    """
-    if not isinstance(l, LorentzTransform):
-        l = LorentzTransform(np.asarray(l, dtype=float))
-    w = l.l[None, :, 0]
-    R = ((_boost(w) * _INVERT) @ l.l)[:, 1:, 1:]
-    return (_boost_filter(w) @ _rotation_filter(R))[0]
+    return L.real
 
 
 def _boost_filter(w: np.ndarray) -> np.ndarray:
     # H(w) / sqrt(w0 + |w|) for future unit time-like vectors w[n]: unit
-    # operator norm, Lorentz image boost(w), |det| = 1 / (w0 + |w|)
+    # operator norm, Lorentz image boost(w), |det| = 1 / (w0 + |w|). H(w) =
+    # ((w0 + 1) I + w.sigma) / sqrt(2 (w0 + 1)) is the positive filter of
+    # boost(w).
     w0 = w[:, 0, None, None]
     h = ((w + _I4[0]) @ _PAULI).reshape(-1, 2, 2)
     return h / np.sqrt(2.0 * (w0 + 1.0) * (
@@ -582,7 +543,7 @@ def _rotations(d: np.ndarray, ax, tri, eigen):
     return R.swapaxes(-1, -2).reshape(-1, 3, 3), sigma
 
 
-def _rotation_to(r: np.ndarray) -> LorentzTransform:
+def _rotation_to(r: np.ndarray) -> np.ndarray:
     # rotation taking z to the direction of r (a fixed one for r = 0): the
     # unitary whose first column is the pure state with Bloch vector along
     # r, through the double cover
@@ -636,8 +597,8 @@ def _x_form(M: np.ndarray):
     V = V / np.linalg.norm(V, axis=0)
     i, j = np.argsort(np.sum(V * (_G @ V), axis=0))[-2:]
     n = V[:, j] + np.copysign(1.0, V[:, i] @ V[:, j]) * V[:, i]
-    RA = _rotation_to(-n[1:] if n[0] >= 0 else n[1:]).l
-    RB = _rotation_to((M.T @ _G @ RA @ _E_MINUS)[1:]).l
+    RA = _rotation_to(-n[1:] if n[0] >= 0 else n[1:])
+    RB = _rotation_to((M.T @ _G @ RA @ _E_MINUS)[1:])
     K = _LC_INV @ RA.T @ M @ _G @ RB @ _LC
     phi = np.arctan2(K[1, 2] + K[2, 1], K[1, 1] - K[2, 2])
     Rz = _spatial([[np.cos(phi), -np.sin(phi), 0.0],
@@ -712,14 +673,12 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
     """
     M = np.asarray(m.m, dtype=float)
     route, uv, d, pieces = _forms(M[None])
-    if route[0] == _BELL:  # l1 = l2 = I, checked once
-        l1 = LorentzTransform(_I4)
-        return NormalForm(kind=DIAGONAL, l1=l1, l2=l1, sigma=M)
+    if route[0] == _BELL:
+        return NormalForm(kind=DIAGONAL, l1=_I4, l2=_I4, sigma=M)
     if route[0] == _DIAG:
         rot, sigma = _rotations(d, *pieces)
         L = _boost(uv) @ _spatial(rot)
-        return NormalForm(kind=DIAGONAL, l1=LorentzTransform(L[0]),
-                          l2=LorentzTransform(L[1]), sigma=sigma[0])
+        return NormalForm(kind=DIAGONAL, l1=L[0], l2=L[1], sigma=sigma[0])
     if route[0] == _TRIVIAL:
         raise TrivialNormalFormError("normal form undefined/trivial")
     if route[0] == _PRODUCT:
@@ -730,46 +689,18 @@ def normal_form(m: MuellerMatrix) -> NormalForm:
                           sigma=np.outer(_E_PLUS, _E_PLUS),
                           xform_params=_PRODUCT_PARAMS)
     L1, L2, sigma = _x_form(M)
-    return NormalForm(kind=XFORM, l1=LorentzTransform(L1),
-                      l2=LorentzTransform(L2), sigma=sigma,
+    return NormalForm(kind=XFORM, l1=L1, l2=L2, sigma=sigma,
                       xform_params=_x_params(sigma))
 
 
 # ---------------------------------------------------------------------------
 # filters
 
-def optimal_filters(state: TwoQubitState) -> FilterPair:
-    """Filters that map the state onto its (Bell-diagonal) normal form.
-
-    The filtered state's Mueller matrix is sigma / sigma[0][0]; each filter
-    has unit operator norm, which maximizes the success probability without
-    changing the filtered state. Bell-diagonal inputs get exact identity
-    filters. Raises :class:`XFormError` when the state reduces to the X
-    pattern instead, and :class:`TrivialNormalFormError` for the maximally
-    mixed state.
-    """
-    return _filter_pair(_diagonal(to_mueller(state))[2])
-
-
-def _diagonal(m: MuellerMatrix):
-    # p_succ and (1, 4, 4) sigma of the optimal filters of Mueller matrix m,
-    # and the uv, rot they come from (None: identities)
-    route, uv, d, pieces = _forms(m.m[None])
-    if route[0] == _BELL:
-        return min(m.m[0, 0], 1.0), m.m[None], None
-    if route[0] == _DIAG:
-        rot, sigma = _rotations(d, *pieces)
-        return _p_succ(uv, d)[0], sigma, (uv, rot)
-    if route[0] == _TRIVIAL:
-        raise TrivialNormalFormError("normal form undefined/trivial")
-    if route[0] == _PRODUCT:
-        raise XFormError(*_PRODUCT_PARAMS)
-    raise XFormError(*_x_params(_x_form(m.m)[2]))
-
-
 def _filter_pair(parts) -> FilterPair:
-    # the filters of _diagonal's uv, rot: l = boost(w) R has the inverse
-    # R^T boost(G w), whose filter is U(R^T) H(G w) / sqrt(w0 + |w|)
+    # the filters of _filtered_state's uv, rot, which map the state onto its
+    # Diagonal form: l = boost(w) R has the inverse R^T boost(G w), whose
+    # filter is U(R^T) H(G w) / sqrt(w0 + |w|). Each has unit operator norm,
+    # which maximizes p_succ without changing the filtered state.
     if parts is None:
         return FilterPair(m1=np.eye(2), n1=np.eye(2))
     uv, rot = parts
@@ -778,17 +709,30 @@ def _filter_pair(parts) -> FilterPair:
 
 
 def _filtered_state(m: MuellerMatrix):
-    # _diagonal's p_succ (raising at or below _P_FLOOR), the filtered state's
-    # Mueller matrix sigma / sigma0, its correlation_spectrum, and the uv, rot
-    p, sigma, parts = _diagonal(m)
+    # p_succ of the optimal filters of Mueller matrix m (raising at or below
+    # _P_FLOOR), the filtered state's Mueller matrix sigma / sigma0, its
+    # correlation_spectrum, and the uv, rot of the filters (None: identities)
+    M = m.m
+    route, uv, d, pieces = _forms(M[None])
+    if route[0] == _TRIVIAL:
+        raise TrivialNormalFormError("normal form undefined/trivial")
+    if route[0] == _PRODUCT:
+        raise XFormError(*_PRODUCT_PARAMS)
+    if route[0] == _XF:
+        raise XFormError(*_x_params(_x_form(M)[2]))
+    if route[0] == _BELL:
+        p, sigma, parts = min(M[0, 0], 1.0), M, None
+    else:
+        rot, sigma = _rotations(d, *pieces)
+        p, sigma, parts = _p_succ(uv, d)[0], sigma[0], (uv, rot)
     if not p > _P_FLOOR:
         raise ValueError("vanishing success probability")
-    d = sigma[0].diagonal()[1:] / sigma[0, 0, 0]
+    d = sigma.diagonal()[1:] / sigma[0, 0]
     axes = np.argsort(-np.abs(d), kind="stable")  # ties in axis order
     d, dirs = d[axes], _I4[1:, 1:][axes]
     spec = _metrics.CorrelationSpectrum(np.abs(d), dirs, dirs,
                                         np.where(d < 0.0, -1.0, 1.0))
-    return float(p), sigma[0] / sigma[0, 0, 0], spec, parts
+    return float(p), sigma / sigma[0, 0], spec, parts
 
 
 def _p_succ(uv: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -907,14 +851,18 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     once, for the normal form's values only: verdicts and numbers are its
     own to the bit, the X form and the maximally mixed state are not
     filterable, and a p_succ at or below the p floor raises ValueError. So
-    does a trace off 1 by more than validate allows, NaN included: the
-    route tests are absolute bounds, for unit trace.
-    Temporaries grow with N, so ``sweep`` passes its cells 256 at a time.
+    do a trace off 1 by more than validate allows and an entry of M above
+    the bound it allows, NaN included: the route tests are absolute bounds,
+    for states. Temporaries grow with N, so ``sweep`` passes its cells 256
+    at a time.
     """
     M = _states._mueller(np.asarray(rhos, dtype=complex).reshape(-1, 4, 4))
     bad = np.flatnonzero(~(np.abs(M[:, 0, 0] - 1.0) <= _states._TRACE_TOL))
     if len(bad):
         raise ValueError(f"trace != 1 in row {bad[0]}")
+    bad = np.flatnonzero(~(np.abs(M).max(axis=(-2, -1)) <= _M_BOUND))
+    if len(bad):
+        raise ValueError(f"|M| entry above 1 in row {bad[0]}")
     return _batch(M)
 
 

@@ -99,16 +99,6 @@ class MuellerMatrix:
         object.__setattr__(self, "m", a)
 
     @property
-    def r(self) -> np.ndarray:
-        """Alice's Bloch vector (column 0, spatial part)."""
-        return self.m[1:, 0]
-
-    @property
-    def s(self) -> np.ndarray:
-        """Bob's Bloch vector (row 0, spatial part)."""
-        return self.m[0, 1:]
-
-    @property
     def t_block(self) -> np.ndarray:
         """3x3 correlation block."""
         return self.m[1:, 1:]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bellqkd import states
+from bellqkd import filtering, states
 
 
 def pytest_configure(config):
@@ -44,6 +44,20 @@ def random_filter(rng: np.random.Generator, min_det: float = 0.1) -> np.ndarray:
         f = f / np.linalg.norm(f, 2)
         if abs(np.linalg.det(f)) > min_det:
             return f
+
+
+def lorentz_filter(L: np.ndarray) -> np.ndarray:
+    """The filter of unit operator norm whose Lorentz image is L, up to
+    phase, from the package's one construction of filters: _filter_pair
+    takes l = boost(w) R and builds the filter of l's inverse, so it gets
+    the polar decomposition of L^-1 = G L^T G, with w = L^-1 e0."""
+    G = filtering.MINKOWSKI_G
+    l = G @ L.T @ G
+    w = l[None, :, 0]
+    R = ((filtering._boost(w) * filtering._INVERT) @ l)[:, 1:, 1:]
+    pair = filtering._filter_pair((np.concatenate([w, w]),
+                                   np.concatenate([R, R])))
+    return pair.m1
 
 
 def filtered(rho: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:

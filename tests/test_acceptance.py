@@ -15,7 +15,7 @@ from scipy import optimize
 
 from bellqkd import cli, filtering, metrics, protocol_sim, states
 
-from conftest import random_density_matrix, random_filter
+from conftest import lorentz_filter, random_density_matrix, random_filter
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -333,9 +333,9 @@ def test_acceptance_6_brute_force_oracles(record_acceptance):
             worst_beat = max(worst_beat, max(seeded, rand, indep) - mine)
             worst_find = max(worst_find, mine - indep)
     check(fails, worst_beat <= 1e-3,
-          f"brute-force filters beat optimal_filters by {worst_beat:.2e}")
+          f"brute-force filters beat the optimal filters by {worst_beat:.2e}")
     check(fails, worst_find <= 1e-3,
-          f"independent search falls short of optimal_filters by {worst_find:.2e}")
+          f"independent search falls short of the optimal filters by {worst_find:.2e}")
     check(fails, time.monotonic() - t0 < 300.0, "runtime >= 5 min")
     record_acceptance(6, "brute-force oracle agreement", fails)
 
@@ -349,9 +349,9 @@ def test_acceptance_7_property_suites(record_acceptance):
     for alpha in np.linspace(0.1, 0.95, 6):
         for mu in np.linspace(0.1, 0.99, 6):
             nf = filtering.normal_form(states.to_mueller(gisin(alpha, mu)))
-            produced += [nf.l1.l, nf.l2.l]
+            produced += [nf.l1, nf.l2]
     for _ in range(100):
-        produced.append(filtering.filter_to_lorentz(random_filter(rng)).l)
+        produced.append(filtering.filter_to_lorentz(random_filter(rng)))
     worst = 0.0
     for L in produced:
         worst = max(worst,
@@ -384,9 +384,9 @@ def test_acceptance_7_property_suites(record_acceptance):
         pair = filtering.FilterPair(m1=random_filter(rng),
                                     n1=random_filter(rng))
         out, _ = filtering.apply_filters(st, pair)
-        expect = (filtering.filter_to_lorentz(pair.m1).l
+        expect = (filtering.filter_to_lorentz(pair.m1)
                   @ states.to_mueller(st).m
-                  @ filtering.filter_to_lorentz(pair.n1).l.T)
+                  @ filtering.filter_to_lorentz(pair.n1).T)
         expect = expect / expect[0, 0]
         worst = max(worst, np.abs(states.to_mueller(out).m - expect).max())
     check(fails, worst <= 1e-8,
@@ -397,7 +397,7 @@ def test_acceptance_7_property_suites(record_acceptance):
     worst = 1.0
     for _ in range(200):
         f = random_filter(rng, min_det=0.05)
-        g = filtering.lorentz_to_filter(filtering.filter_to_lorentz(f))
+        g = lorentz_filter(filtering.filter_to_lorentz(f))
         worst = min(worst, abs(np.vdot(g, f))
                     / (np.linalg.norm(g) * np.linalg.norm(f)))
     check(fails, worst >= 1 - 1e-8,

@@ -9,9 +9,9 @@ from hypothesis import strategies as hst
 from bellqkd import filtering, metrics, states
 
 from conftest import (filtered, filtered_nearly_product_pure_states,
-                      haar_su2, random_density_matrix, random_filter,
-                      random_pair_state, random_x_state, sl2c_filters,
-                      x_mixture)
+                      haar_su2, lorentz_filter, random_density_matrix,
+                      random_filter, random_pair_state, random_x_state,
+                      sl2c_filters, x_mixture)
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -26,14 +26,30 @@ RHO_X = np.array([[0.375, 0, 0, 0.375],
 
 
 def assert_lorentz(L, tol=1e-9):
-    assert np.abs(L @ G @ L.T - G).max() < tol
-    assert abs(np.linalg.det(L) - 1.0) < tol
+    """L is proper orthochronous: round-off of L G L^T grows entry by entry
+    with |L| |L|^T, that of det L with L00^2, and det > 0 rejects det = -1
+    at any L00. The Diagonal l1, l2 stay within 1.5e-15 of these bounds on
+    the 200x200 Gisin grid (L00 up to 250) and on filtered pure, nearly
+    product states (L00 up to 1.3e4)."""
+    A = np.abs(L)
+    assert (np.abs(L @ G @ L.T - G) <= tol * np.maximum(1.0, A @ A.T)).all()
+    det = np.linalg.det(L)
+    assert det > 0.0
+    assert abs(det - 1.0) <= tol * max(1.0, L[0, 0] ** 2)
     assert L[0, 0] >= 1.0 - tol
+
+
+def checked_normal_form(m):
+    # normal_form, with its l1 and l2 asserted proper orthochronous
+    nf = filtering.normal_form(m)
+    assert_lorentz(nf.l1)
+    assert_lorentz(nf.l2)
+    return nf
 
 
 def assert_filters_work(st):
     # whitened marginals, a probability, and no loss of concurrence
-    out, p = filtering.apply_filters(st, filtering.optimal_filters(st))
+    out, p = filtering.apply_filters(st, filtering.filtered_key_rate(st).filters)
     mo = states.to_mueller(out).m
     assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) < 1e-9
     assert 0.0 < p <= 1.0
@@ -45,7 +61,7 @@ def assert_filters_work(st):
 
 def test_filter_to_lorentz_identity():
     L = filtering.filter_to_lorentz(np.eye(2))
-    assert np.abs(L.l - np.eye(4)).max() < 1e-12
+    assert np.abs(L - np.eye(4)).max() < 1e-12
 
 
 def test_filter_to_lorentz_z_boost():
@@ -54,16 +70,15 @@ def test_filter_to_lorentz_z_boost():
                        [0, 1, 0, 0],
                        [0, 0, 1, 0],
                        [0.75, 0, 0, 1.25]])
-    assert np.abs(L.l - expect).max() < 1e-12
+    assert np.abs(L - expect).max() < 1e-12
     # scaling the filter changes nothing: the map is det-normalized
     L2 = filtering.filter_to_lorentz(np.diag([1.0, 0.5]) * 3.7j)
-    assert np.abs(L2.l - expect).max() < 1e-12
+    assert np.abs(L2 - expect).max() < 1e-12
 
 
 def test_lorentz_to_filter_z_boost():
-    L = filtering.LorentzTransform(np.array(
+    f = lorentz_filter(np.array(
         [[1.25, 0, 0, 0.75], [0, 1, 0, 0], [0, 0, 1, 0], [0.75, 0, 0, 1.25]]))
-    f = filtering.lorentz_to_filter(L)
     assert np.abs(np.abs(f) - np.diag([1.0, 0.5])).max() < 1e-10
     assert abs(np.linalg.norm(f, 2) - 1.0) < 1e-12
 
@@ -84,8 +99,8 @@ def _boost_along(axis, l00) -> np.ndarray:
 
 
 def test_lorentz_to_filter_rotations_by_pi_and_boosts():
-    """The closed form holds where the quaternion has q0 = 0 (trace R = -1)
-    and for boosts after rotations up to L00 = 250."""
+    """_filter_pair's closed form holds where the quaternion has q0 = 0
+    (trace R = -1) and for boosts after rotations up to L00 = 250."""
     rng = np.random.default_rng(41)
     axes = [[1, 0, 0], [0, 1, 0], [0, 0, 1], rng.normal(size=3)]
     rotations = [_rotation(a, np.pi) for a in axes]
@@ -98,9 +113,10 @@ def test_lorentz_to_filter_rotations_by_pi_and_boosts():
             S[1:, 1:] = R
             cases.append(_boost_along(rng.normal(size=3), l00) @ S)
     for L in cases:
-        f = filtering.lorentz_to_filter(filtering.LorentzTransform(L))
+        assert_lorentz(L)
+        f = lorentz_filter(L)
         assert abs(np.linalg.norm(f, 2) - 1.0) < 1e-12
-        back = filtering.filter_to_lorentz(f).l
+        back = filtering.filter_to_lorentz(f)
         assert np.abs(back - L).max() < 1e-12 * L[0, 0] ** 2
 
 
@@ -109,8 +125,8 @@ def test_double_cover_round_trip():
     for _ in range(200):
         f = random_filter(rng, min_det=0.05)
         L = filtering.filter_to_lorentz(f)
-        assert_lorentz(L.l)
-        g = filtering.lorentz_to_filter(L)
+        assert_lorentz(L)
+        g = lorentz_filter(L)
         # proportional up to phase
         overlap = abs(np.vdot(g, f)) / (np.linalg.norm(g) * np.linalg.norm(f))
         assert overlap > 1 - 1e-8
@@ -120,8 +136,8 @@ def test_double_cover_group_law():
     rng = np.random.default_rng(37)
     for _ in range(100):
         f, g = random_filter(rng), random_filter(rng)
-        lhs = filtering.filter_to_lorentz(f @ g).l
-        rhs = filtering.filter_to_lorentz(f).l @ filtering.filter_to_lorentz(g).l
+        lhs = filtering.filter_to_lorentz(f @ g)
+        rhs = filtering.filter_to_lorentz(f) @ filtering.filter_to_lorentz(g)
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -136,39 +152,6 @@ def test_filter_to_lorentz_rejects_non_finite(bad):
               np.full((2, 2), bad)):
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             filtering.filter_to_lorentz(f)
-
-
-def test_lorentz_transform_invariants_enforced():
-    with pytest.raises(ValueError):
-        filtering.LorentzTransform(np.diag([1.0, 1.0, 1.0, -1.0]))  # det -1
-    flipped = -np.eye(4)  # det +1 but past-pointing
-    with pytest.raises(ValueError):
-        filtering.LorentzTransform(flipped)
-    with pytest.raises(ValueError):
-        filtering.LorentzTransform(np.eye(4) * 2.0)  # breaks the metric
-    # the bounds scale with the entries they judge: a boost with L00 = 1e4
-    # passes; L00 off by 1e-6 of itself breaks the metric by 2e-6 L00^2,
-    # and a transverse entry off by 1e-6 breaks it by 2e-6 where no entry
-    # is large; parity keeps the metric and makes det = -1, past the det
-    # bound's 2 at L00 = 1e5
-    for l00 in (1e4, 1e5):
-        u = np.array([l00, 0.0, 0.0, np.sqrt(l00 ** 2 - 1.0)])
-        boost = filtering._boost(u[None])[0]
-        filtering.LorentzTransform(boost)
-        for i, scale in ((0, 1.0 + 1e-6), (1, 1.0 + 1e-6), (1, -1.0)):
-            bad = boost.copy()
-            bad[i, i] *= scale
-            with pytest.raises(ValueError):
-                filtering.LorentzTransform(bad)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_lorentz_transform_rejects_non_finite(bad):
-    one_entry = np.eye(4)
-    one_entry[1, 2] = bad
-    for L in (np.full((4, 4), bad), one_entry):
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            filtering.LorentzTransform(L)
 
 
 def test_filter_pair_norm_bound():
@@ -206,21 +189,20 @@ def test_norm_check_closed_form():
 def test_normal_form_bell_diagonal_is_trivial_decomposition():
     m = states.to_mueller(states.make_family(
         states.FamilySpec(variant="werner", p=0.9)))
-    nf = filtering.normal_form(m)
+    nf = checked_normal_form(m)
     assert nf.kind == "Diagonal"
-    assert np.abs(nf.l1.l - np.eye(4)).max() < 1e-12
-    assert np.abs(nf.l2.l - np.eye(4)).max() < 1e-12
+    assert np.abs(nf.l1 - np.eye(4)).max() < 1e-12
+    assert np.abs(nf.l2 - np.eye(4)).max() < 1e-12
     assert np.abs(nf.sigma - m.m).max() < 1e-12
     assert nf.xform_params is None
 
 
 def test_normal_form_gisin_reference():
     m = states.to_mueller(GISIN)
-    nf = filtering.normal_form(m)
+    nf = checked_normal_form(m)
     assert nf.kind == "Diagonal"
-    assert_lorentz(nf.l1.l)
-    assert_lorentz(nf.l2.l)
-    assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+    assert not any(a.flags.writeable for a in (nf.l1, nf.l2, nf.sigma))
+    assert np.abs(nf.l1 @ nf.sigma @ nf.l2.T - m.m).max() < 1e-8
     diag = np.diag(nf.sigma)
     assert np.abs(nf.sigma - np.diag(diag)).max() < 1e-8
     assert diag[0] > 0
@@ -239,7 +221,7 @@ def test_normal_form_construct_invert():
         pair = filtering.FilterPair(m1=random_filter(rng),
                                     n1=random_filter(rng))
         out, _ = filtering.apply_filters(st, pair)
-        nf = filtering.normal_form(states.to_mueller(out))
+        nf = checked_normal_form(states.to_mueller(out))
         assert nf.kind == "Diagonal"
         got = np.sort(np.abs(np.diag(nf.sigma)[1:] / nf.sigma[0, 0]))[::-1]
         assert np.abs(got - lam).max() < 1e-7
@@ -260,7 +242,7 @@ def test_normal_form_x_pattern():
     along either null direction. Every member shares d and d^2 = (a+c)(a-b).
     """
     m = states.to_mueller(states.TwoQubitState(RHO_X))
-    nf = filtering.normal_form(m)
+    nf = checked_normal_form(m)
     assert nf.kind == "XForm"
     a, b, c, d = nf.xform_params
     assert abs(a - 1.0) < 1e-9
@@ -268,23 +250,21 @@ def test_normal_form_x_pattern():
     assert abs(c - (-0.25)) < 1e-9
     assert abs(d - (-0.75)) < 1e-9
     assert abs((a + c) * (a - b) - 0.5625) < 1e-9
-    assert np.abs(nf.l1.l - np.diag([1.0, -1.0, 1.0, -1.0])).max() < 1e-9
-    assert np.abs(nf.l2.l - np.diag([1.0, 1.0, -1.0, -1.0])).max() < 1e-9
+    assert np.abs(nf.l1 - np.diag([1.0, -1.0, 1.0, -1.0])).max() < 1e-9
+    assert np.abs(nf.l2 - np.diag([1.0, 1.0, -1.0, -1.0])).max() < 1e-9
     S = nf.sigma
     pattern = np.array([[a, 0, 0, b],
                         [0, d, 0, 0],
                         [0, 0, -d, 0],
                         [c, 0, 0, a + c - b]])
     assert np.abs(S - pattern).max() < 1e-8
-    assert np.abs(nf.l1.l @ S @ nf.l2.l.T - m.m).max() < 1e-8
-    assert_lorentz(nf.l1.l)
-    assert_lorentz(nf.l2.l)
+    assert np.abs(nf.l1 @ S @ nf.l2.T - m.m).max() < 1e-8
 
 
 def test_x_pattern_pure_product_degenerate():
     v = np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2)
     st = states.TwoQubitState(np.outer(v, v).astype(complex))
-    nf = filtering.normal_form(states.to_mueller(st))
+    nf = checked_normal_form(states.to_mueller(st))
     assert nf.kind == "XForm"
     assert abs(nf.xform_params[3]) < 1e-12  # d = 0 flags separability
 
@@ -297,13 +277,11 @@ def test_normal_form_pure_products_are_x_pattern():
         a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in "ab")
         v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         m = states.to_mueller(states.TwoQubitState(np.outer(v, v.conj())))
-        nf = filtering.normal_form(m)
+        nf = checked_normal_form(m)
         assert nf.kind == "XForm"
         assert nf.xform_params == (1.0, 1.0, 1.0, 0.0)
         assert np.abs(nf.sigma - np.outer(e, e)).max() == 0
-        assert_lorentz(nf.l1.l)
-        assert_lorentz(nf.l2.l)
-        assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+        assert np.abs(nf.l1 @ nf.sigma @ nf.l2.T - m.m).max() < 1e-8
 
 
 def test_normal_form_pure_times_mixed_products_are_x_pattern():
@@ -316,14 +294,14 @@ def test_normal_form_pure_times_mixed_products_are_x_pattern():
         mixed = x @ x.conj().T / np.trace(x @ x.conj().T).real
         rho = np.kron(pure, mixed) if k % 2 else np.kron(mixed, pure)
         m = states.to_mueller(states.TwoQubitState(rho))
-        nf = filtering.normal_form(m)
+        nf = checked_normal_form(m)
         assert nf.kind == "XForm", k
         a, b, c, d = nf.xform_params
         assert abs(d) < 1e-9
         pattern = np.array([[a, 0, 0, b], [0, 0, 0, 0], [0, 0, 0, 0],
                             [c, 0, 0, a + c - b]])
         assert np.abs(nf.sigma - pattern).max() < 1e-6, k
-        assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+        assert np.abs(nf.l1 @ nf.sigma @ nf.l2.T - m.m).max() < 1e-8
 
 
 def test_normal_form_properties_rank_1_to_4():
@@ -332,11 +310,9 @@ def test_normal_form_properties_rank_1_to_4():
     for k in range(400):
         st = states.TwoQubitState(random_density_matrix(rng, rank=k % 4 + 1))
         m = states.to_mueller(st)
-        nf = filtering.normal_form(m)
+        nf = checked_normal_form(m)
         assert nf.kind == "Diagonal", k
-        assert_lorentz(nf.l1.l)
-        assert_lorentz(nf.l2.l)
-        assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+        assert np.abs(nf.l1 @ nf.sigma @ nf.l2.T - m.m).max() < 1e-8
         sig = np.diag(nf.sigma)
         assert np.abs(nf.sigma - np.diag(sig)).max() == 0
         # magnitudes descending (ties in any order), only the last signed
@@ -356,7 +332,7 @@ _PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 def test_filtered_werner_is_diagonal(p, f, g):
     rho = states.make_family(states.FamilySpec(variant="werner", p=p)).rho
     st = states.TwoQubitState(filtered(rho, f, g))
-    assert filtering.normal_form(states.to_mueller(st)).kind == "Diagonal"
+    assert checked_normal_form(states.to_mueller(st)).kind == "Diagonal"
     assert_filters_work(st)
 
 
@@ -367,7 +343,7 @@ def test_filtered_gisin_is_diagonal(alpha, mu, f, g):
     rho = states.make_family(
         states.FamilySpec(variant="gisin", alpha=alpha, mu=mu)).rho
     st = states.TwoQubitState(filtered(rho, f, g))
-    assert filtering.normal_form(states.to_mueller(st)).kind == "Diagonal"
+    assert checked_normal_form(states.to_mueller(st)).kind == "Diagonal"
     assert_filters_work(st)
 
 
@@ -376,7 +352,7 @@ def test_filtered_gisin_is_diagonal(alpha, mu, f, g):
        f=sl2c_filters(), g=sl2c_filters())
 def test_filtered_x_mixture_is_xform(lam, slot, f, g):
     st = states.TwoQubitState(filtered(x_mixture(lam, slot), f, g))
-    assert filtering.normal_form(states.to_mueller(st)).kind == "XForm"
+    assert checked_normal_form(states.to_mueller(st)).kind == "XForm"
 
 
 def test_normal_form_x_mixtures_filtered_and_not():
@@ -387,11 +363,9 @@ def test_normal_form_x_mixtures_filtered_and_not():
         pair = (random_filter(rng, 0.05), random_filter(rng, 0.05))
         for r in (rho, filtered(rho, *pair)):
             m = states.to_mueller(states.TwoQubitState(r))
-            nf = filtering.normal_form(m)
+            nf = checked_normal_form(m)
             assert nf.kind == "XForm", k
-            assert_lorentz(nf.l1.l)
-            assert_lorentz(nf.l2.l)
-            assert np.abs(nf.l1.l @ nf.sigma @ nf.l2.l.T - m.m).max() < 1e-8
+            assert np.abs(nf.l1 @ nf.sigma @ nf.l2.T - m.m).max() < 1e-8
             a, b, c, d = nf.xform_params
             pattern = np.array([[a, 0, 0, b], [0, d, 0, 0], [0, 0, -d, 0],
                                 [c, 0, 0, a + c - b]])
@@ -403,7 +377,7 @@ def test_normal_form_x_mixtures_filtered_and_not():
 # optimal filtering
 
 def test_optimal_filters_gisin():
-    pair = filtering.optimal_filters(GISIN)
+    pair = filtering.filtered_key_rate(GISIN).filters
     for f in (pair.m1, pair.n1):
         assert abs(np.linalg.norm(f, 2) - 1.0) < 1e-12
         assert abs(np.linalg.det(f)) > 1e-12
@@ -415,14 +389,14 @@ def test_optimal_filters_gisin():
 
 def test_optimal_filters_bell_diagonal_identity():
     w = states.make_family(states.FamilySpec(variant="werner", p=0.9))
-    pair = filtering.optimal_filters(w)
+    pair = filtering.filtered_key_rate(w).filters
     assert np.abs(pair.m1 - np.eye(2)).max() == 0
     assert np.abs(pair.n1 - np.eye(2)).max() == 0
 
 
 def test_optimal_filters_xform_error_carries_params():
     with pytest.raises(filtering.XFormError) as exc:
-        filtering.optimal_filters(states.TwoQubitState(RHO_X))
+        filtering.filtered_key_rate(states.TwoQubitState(RHO_X))
     e = exc.value
     assert abs(e.a - 1.0) < 1e-9
     assert abs(e.b - 0.25) < 1e-9
@@ -437,13 +411,13 @@ def test_xform_error_separable_note_when_d_zero():
     v = np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2)
     st = states.TwoQubitState(np.outer(v, v).astype(complex))
     with pytest.raises(filtering.XFormError) as exc:
-        filtering.optimal_filters(st)
+        filtering.filtered_key_rate(st)
     assert exc.value.separable
     assert "d=0 corresponds to a separable initial state" in str(exc.value)
 
 
 def test_optimal_filters_xform_error_matches_normal_form():
-    """optimal_filters raises without a second normal form: its XFormError
+    """The filter path raises without a second normal form: its XFormError
     carries the fields and message normal_form's xform_params give, on X
     states of rank 2 and 3, filtered and not, and on pure products."""
     rng = np.random.default_rng(83)
@@ -466,18 +440,17 @@ def test_optimal_filters_xform_error_matches_normal_form():
         st = states.TwoQubitState(rho)
         ranks.add(int(np.linalg.matrix_rank(rho, tol=1e-9)))
         want = filtering.XFormError(
-            *filtering.normal_form(states.to_mueller(st)).xform_params)
-        for call in (filtering.optimal_filters, filtering.filtered_key_rate):
-            with pytest.raises(filtering.XFormError) as exc:
-                call(st)
-            e = exc.value
-            assert (e.a, e.b, e.c, e.d, e.separable, str(e)) == (
-                want.a, want.b, want.c, want.d, want.separable, str(want))
+            *checked_normal_form(states.to_mueller(st)).xform_params)
+        with pytest.raises(filtering.XFormError) as exc:
+            filtering.filtered_key_rate(st)
+        e = exc.value
+        assert (e.a, e.b, e.c, e.d, e.separable, str(e)) == (
+            want.a, want.b, want.c, want.d, want.separable, str(want))
     assert ranks == {1, 2, 3}
     mixed = states.TwoQubitState(np.eye(4, dtype=complex) / 4)
     with pytest.raises(filtering.TrivialNormalFormError,
                        match="normal form undefined/trivial"):
-        filtering.optimal_filters(mixed)
+        filtering.filtered_key_rate(mixed)
 
 
 def test_full_rank_product_state_stays_unentangled():
@@ -486,7 +459,7 @@ def test_full_rank_product_state_stays_unentangled():
     st = states.TwoQubitState(rho)
     assert filtering.concurrence(st) < 1e-12
     try:
-        pair = filtering.optimal_filters(st)
+        pair = filtering.filtered_key_rate(st).filters
     except filtering.XFormError as e:
         assert abs(e.d) < 1e-9
         return
@@ -502,7 +475,7 @@ def test_apply_filters_identity():
 
 
 def test_apply_filters_gisin_reference():
-    pair = filtering.optimal_filters(GISIN)
+    pair = filtering.filtered_key_rate(GISIN).filters
     out, p = filtering.apply_filters(GISIN, pair)
     assert abs(p - 0.3956483157256776) < 1e-9
     assert states.validate(out).ok
@@ -542,8 +515,8 @@ def test_mueller_path_consistency():
         pair = filtering.FilterPair(m1=random_filter(rng),
                                     n1=random_filter(rng))
         out, _ = filtering.apply_filters(st, pair)
-        la = filtering.filter_to_lorentz(pair.m1).l
-        lb = filtering.filter_to_lorentz(pair.n1).l
+        la = filtering.filter_to_lorentz(pair.m1)
+        lb = filtering.filter_to_lorentz(pair.n1)
         expect = la @ states.to_mueller(st).m @ lb.T
         expect = expect / expect[0, 0]
         assert np.abs(states.to_mueller(out).m - expect).max() < 1e-8
@@ -672,7 +645,7 @@ def test_filtered_nearly_product_pure_states_get_filters():
     """Filters come from the normal form's boosts and rotations, and
     normal_form builds l1, l2 from the same pieces: with L00 up to 1.3e4,
     their Lorentz residuals are round-off at the scale of L00^2, within the
-    relative bounds of LorentzTransform, so every Diagonal state gets both."""
+    relative bounds of assert_lorentz, so every Diagonal state gets both."""
     rhos = filtered_nearly_product_pure_states(np.random.default_rng(7), 398)
     diagonal = 0
     for k, rho in enumerate(rhos):
@@ -682,7 +655,7 @@ def test_filtered_nearly_product_pure_states_get_filters():
         except filtering.XFormError:
             continue
         diagonal += 1
-        assert filtering.normal_form(
+        assert checked_normal_form(
             states.to_mueller(st)).kind == filtering.DIAGONAL, k
         psi = np.linalg.eigh(rho)[1][:, -1]
         lam_min = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)[-1]
@@ -761,7 +734,7 @@ def test_batch_equals_scalar(monkeypatch):
             verdicts[i] = filtering.filtered_key_rate(st)
         except filtering.XFormError:
             verdicts[i] = None
-            assert filtering.normal_form(m).kind == filtering.XFORM, i
+            assert checked_normal_form(m).kind == filtering.XFORM, i
             continue
         except filtering.TrivialNormalFormError:
             verdicts[i] = None
@@ -769,11 +742,11 @@ def test_batch_equals_scalar(monkeypatch):
             with pytest.raises(filtering.TrivialNormalFormError):
                 filtering.normal_form(m)
             continue
-        assert filtering.normal_form(m).kind == filtering.DIAGONAL, i
+        assert checked_normal_form(m).kind == filtering.DIAGONAL, i
     assert None in verdicts.values() and trivial == [werner_row + 1]
-    nf = filtering.normal_form(states.to_mueller(werner))
-    assert np.array_equal(nf.l1.l, np.eye(4))
-    assert np.array_equal(nf.l2.l, np.eye(4))
+    nf = checked_normal_form(states.to_mueller(werner))
+    assert np.array_equal(nf.l1, np.eye(4))
+    assert np.array_equal(nf.l2, np.eye(4))
     assert np.array_equal(nf.sigma, states.to_mueller(werner).m)
     with monkeypatch.context() as patched:
         patched.setattr(filtering, "_P_FLOOR", 1.0)
@@ -804,20 +777,31 @@ def test_batch_equals_scalar(monkeypatch):
 
 
 def test_batch_rejects_trace_off_one():
-    """The batch's route tests are absolute, for unit trace, so it raises
+    """The batch's route tests are absolute, for states, so it raises
     ValueError on a row whose trace is off 1 by more than validate allows,
-    NaN included, and warns of nothing: 1e300 I once overflowed the purity
-    test and came back filterable, 1e-300 I met the p floor, and 3 times a
-    Werner state came back filterable with p_succ 1. The same rows
-    normalised give the verdicts of the normalised states."""
+    or with an entry of M above the bound validate allows, NaN included,
+    and warns of nothing: 1e300 I once overflowed the purity test and came
+    back filterable, 1e-300 I met the p floor, and 3 times a Werner state
+    came back filterable with p_succ 1. Of unit trace, I / 4 with rho03 =
+    rho30 = 1e200 overflowed the purity test, and with 1e10 it came back
+    filterable with p_succ 1 and lambdas (2e10, 2e10, 0). The rows of
+    trace off 1 normalised give the verdicts of the normalised states."""
     werner = states.make_family(states.FamilySpec(variant="werner", p=0.8)).rho
     mixed = np.eye(4, dtype=complex) / 4.0
     nan = np.full((4, 4), np.nan)
-    for rho, want in ((1e300 * np.eye(4), mixed), (1e-300 * np.eye(4), mixed),
-                      (3.0 * werner, werner), (nan, None)):
+    coherent = [mixed.copy(), mixed.copy()]
+    for c, big in zip(coherent, (1e200, 1e10)):
+        c[0, 3] = c[3, 0] = big
+    trace = "^trace != 1 in row 1$"
+    entry = r"^\|M\| entry above 1 in row 1$"
+    for rho, want, match in ((1e300 * np.eye(4), mixed, trace),
+                             (1e-300 * np.eye(4), mixed, trace),
+                             (3.0 * werner, werner, trace), (nan, None, trace),
+                             (coherent[0], None, entry),
+                             (coherent[1], None, entry)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^trace != 1 in row 1$"):
+            with pytest.raises(ValueError, match=match):
                 filtering.filtered_key_rate_batch([werner, rho, werner])
             if want is None:
                 continue
@@ -911,10 +895,10 @@ def test_forms_values_and_pieces_follow_every_row():
     rot, sigma = filtering._rotations(d, *pieces)
     L = filtering._boost(uv) @ filtering._spatial(rot)
     for i in (1, 4):
-        nf = filtering.normal_form(ms[i])
+        nf = checked_normal_form(ms[i])
         assert np.array_equal(sigma[i], nf.sigma)
-        assert np.array_equal(L[i], nf.l1.l)
-        assert np.array_equal(L[len(M) + i], nf.l2.l)
+        assert np.array_equal(L[i], nf.l1)
+        assert np.array_equal(L[len(M) + i], nf.l2)
     for i in (0, 2):
         assert np.array_equal(uv[[i, len(M) + i]], filtering._I4[[0, 0]])
         assert np.array_equal(d[i], M[i].diagonal())
@@ -984,8 +968,8 @@ def test_axial_states_with_a_zero_population_stay_xform():
     opposite pair (|00> and |11>, or |01> and |10>), has the X pattern.
     A zero population's light-cone entry comes out as round-off, up to
     2.2e-16 m00, below _AXIAL_FLOOR, whichever seam builds M, so these
-    states keep the eigenspace route and its XForm verdict; the route's
-    LorentzTransforms are valid. With no floor, x_mixture(0.6, 1) took the
+    states keep the eigenspace route and its XForm verdict; the route's l1
+    and l2 are proper orthochronous. With no floor, x_mixture(0.6, 1) took the
     closed forms from one seam and not from the other. The two-zero states
     are the products |0><0| x diag(c, d), |1><1| x diag(c, d) and their
     mirrors."""
@@ -1002,10 +986,8 @@ def test_axial_states_with_a_zero_population_stay_xform():
         for M in (states.to_mueller(states.TwoQubitState(rho)).m,
                   states._mueller(rho)):
             assert not filtering._axial(M[None])[1][0], i
-            nf = filtering.normal_form(states.MuellerMatrix(M))
+            nf = checked_normal_form(states.MuellerMatrix(M))
             assert nf.kind == filtering.XFORM, i
-            assert_lorentz(nf.l1.l)
-            assert_lorentz(nf.l2.l)
     assert not filtering.filtered_key_rate_batch(np.array(rhos)).filterable.any()
     assert not filtering._batch(states._mueller(np.array(rhos))).filterable.any()
 

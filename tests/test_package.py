@@ -16,3 +16,32 @@ def test_package_all_is_the_modules_all():
         for name in mod.__all__:
             assert getattr(bellqkd, name) is getattr(mod, name), name
     assert bellqkd.__version__ == "0.1.0"
+
+
+# The public API, in order: a change to it is a change to this list.
+PUBLIC = [
+    # states
+    "PAULI", "InvalidStateError", "StateFileError", "TwoQubitState",
+    "MuellerMatrix", "FamilySpec", "ValidityReport", "from_pauli",
+    "validate", "to_mueller", "from_mueller", "make_family", "depolarize",
+    "bell_state", "load_state_file", "parse_state_spec",
+    # metrics
+    "CorrelationSpectrum", "ChshSettings", "KeyMetrics", "Region",
+    "correlation_spectrum", "chsh_max", "optimal_chsh_settings",
+    "chsh_value", "qber", "key_rate_symmetric", "q_crit", "q_crit_symmetric",
+    "classify",
+    # filtering
+    "MINKOWSKI_G", "FilterPair", "NormalForm", "FilterOutcome",
+    "EntanglementReport", "MetricsSummary", "XFormError",
+    "TrivialNormalFormError", "DIAGONAL", "XFORM", "filter_to_lorentz",
+    "normal_form", "apply_filters", "concurrence", "entanglement_of_formation",
+    "entanglement_report", "summarize_metrics", "filtered_key_rate",
+    "BatchOutcome", "filtered_key_rate_batch",
+    # protocol_sim
+    "SimConfig", "SimReport", "born_joint_distribution", "run_protocol",
+    "__version__",
+]
+
+
+def test_public_api_is_frozen():
+    assert bellqkd.__all__ == PUBLIC
