@@ -205,9 +205,10 @@ def _cmd_sweep(args) -> int:
                               mu=float(mus[0]))
         except states.StateFileError as e:
             raise _CliError(EXIT_USAGE, f"range outside family domain: {e}")
-    # cell k of the grid is (alphas[al_idx[k]], mus[mu_idx[k]]); each grid
-    # value is formatted once, and a cell takes its text by index
-    al_idx, mu_idx = np.indices((len(alphas), len(mus))).reshape(2, -1)
+    # cell k of the grid is (alphas[k // len(mus)], mus[k % len(mus)]),
+    # indexed chunk by chunk; each grid value is formatted once, and a cell
+    # takes its text by index
+    cells = len(alphas) * len(mus)
     al_text, mu_text = (np.array(["%.6g" % x for x in g.tolist()],
                                  dtype=object) for g in (alphas, mus))
     # rows go to a temporary file next to --out, which replaces --out only
@@ -216,9 +217,9 @@ def _cmd_sweep(args) -> int:
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(SWEEP_COLUMNS) + "\r\n")
-            for i in range(0, len(al_idx), _SWEEP_CHUNK):
-                a = al_idx[i:i + _SWEEP_CHUNK]
-                m = mu_idx[i:i + _SWEEP_CHUNK]
+            for i in range(0, cells, _SWEEP_CHUNK):
+                a, m = np.divmod(np.arange(i, min(i + _SWEEP_CHUNK, cells)),
+                                 len(mus))
                 out = filtering._batch(states._gisin_m(alphas[a], mus[m]))
                 fh.write(_sweep_rows(al_text[a], mu_text[m], out))
         os.replace(tmp, args.out)

@@ -16,8 +16,8 @@ the time-like eigenvector of W = M G M^T G for its top eigenvalue
 sigma0^2 (the most time-like unit vector of that eigenspace when it is
 degenerate), L2 e0 is M^T G u normalised, the pure boosts taking both to
 e0 leave sigma0 (+) T, and a proper SVD of the 3x3 block T gives the
-rotations. Where u or L2 e0 does not exist, or the boosts leave M not
-whitened, the state has the X pattern. Its form comes from the null
+rotations. Where the boosts leave M not whitened, which is what a Diagonal
+form means, the state has the X pattern. Its form comes from the null
 eigenvector n_A = L1 e- of W (e+- = (1, 0, 0, +-1)) and n_B = L2 e+ along
 M^T G n_A: rotations taking -z to n_A and z to n_B, a rotation about z on
 Bob's side and one null rotation on each side fixing e- and e+ turn M
@@ -267,10 +267,13 @@ def _rotation_filter(R: np.ndarray) -> np.ndarray:
 _EIG_RTOL = 1e-7
 
 # The boosts that whiten a Diagonal M leave its first row and column zero to
-# round-off: at most 2.1e-7 of Mw[0, 0] on near-X states, below 4e-11 on the
-# 200x200 Gisin grid and on random states of rank 1 to 4. On X states u and
-# v are not l1 e0 and l2 e0, and it is at least 1.7e-3 (locally filtered
-# X states of rank 2 and 3).
+# round-off, relative to Mw[0, 0]: below 4e-12 on random states of rank 1 to
+# 4, filtered or not, 3.4e-7 on filtered, nearly product pure states, and
+# up to 1.3e-6 (7.7e-6 filtered) on near-X states
+# lam |Phi+><Phi+| + (1 - lam)|00><00| + 1e-7 noise. On X states u and v are
+# not l1 e0 and l2 e0, and it is at least 2.8e-4 (random X states with a
+# zero population, under filters). On filtered, weakly mixed Gisin states,
+# whose top eigenvalues of W nearly meet, it spreads across the bound.
 _WHITEN_RTOL = 1e-4
 
 
@@ -297,20 +300,19 @@ def _spatial(R: np.ndarray) -> np.ndarray:
 
 def _time_like(V: np.ndarray):
     # the most time-like unit vector of the span of each V[n] (4 x k), and
-    # the mask of spans that are not defective and contain a time-like one
+    # the mask of spans where it is time-like, w > 0: an exact guard that
+    # keeps the normalisation finite (the form's test is the whitening)
     k = V.shape[-1]
     # real orthonormal basis of the span (complex pairs split)
-    B, sv, _ = np.linalg.svd(np.concatenate([V.real, V.imag], axis=-1),
-                             full_matrices=False)
-    ok = (sv > 1e-8 * sv[:, :1]).sum(axis=-1) == k
-    B = B[..., :k]
+    B = np.linalg.svd(np.concatenate([V.real, V.imag], axis=-1),
+                      full_matrices=False)[0][..., :k]
     BGB = B.swapaxes(-1, -2) @ _G @ B
     if k == 1:  # the eigh of a 1 x 1 matrix is its entry, eigenvector 1
         w, u = BGB[:, 0, 0], B[..., 0]
     else:
         w, Q = np.linalg.eigh(BGB)
         w, u = w[:, -1], (B @ Q[..., -1:])[..., 0]
-    ok &= ~(w < 1e-10)
+    ok = w > 0
     return u / np.sqrt(np.where(ok, w, 1.0))[:, None], ok
 
 
@@ -454,30 +456,28 @@ def _axial_rotations(axx, ayx, f, g, h, q, r, s3, split):
 def _eigen_form(M: np.ndarray):
     """uv = (u, v) (2N rows, u = l1 e0 first, v = l2 e0), d = (sigma0, s)
     with s the singular values of the whitened 3x3 block, its rotations
-    (R1, R2t), and the mask of rows whose u, v exist and whiten M, over a
-    stack M (N, 4, 4), from the top eigenspace of W."""
+    (R1, R2t), and the mask of rows whose boosts whiten M (the one test of
+    a Diagonal form; w > 0, nv > 0 and v0 > 0 only keep the arithmetic
+    finite, with e0 for a u or v that fails them), over a stack M (N, 4, 4),
+    from the top eigenspace of W."""
     n = len(M)
     e0 = _I4[0]
     W = M @ _G @ M.swapaxes(-1, -2) @ _G
     evals, evecs = np.linalg.eig(W)
-    ok = np.ones(n, dtype=bool)
-    if np.iscomplexobj(evals):  # else every eigenvalue of the stack is real
-        ok &= ~(np.abs(evals.imag).max(axis=-1) > 1e-8 * np.maximum(
-            np.sqrt((W * W).sum(axis=(-2, -1))), 1e-30))
     lam = evals.real
     top = lam >= (lam.max(axis=-1)
                   - _EIG_RTOL * (1.0 + np.abs(lam).max(axis=-1)))[:, None]
     dims = top.sum(axis=-1)
-    u = np.empty((n, 4))
-    for k in set(dims[ok].tolist()):  # the top eigenspace has k dimensions
-        rows = ok & (dims == k)
+    u, ok = np.empty((n, 4)), np.empty(n, dtype=bool)
+    for k in set(dims.tolist()):  # the top eigenspace has k dimensions
+        rows = dims == k
         V = evecs[rows].swapaxes(-1, -2)[top[rows]]
         u[rows], ok[rows] = _time_like(V.reshape(-1, k, 4).swapaxes(-1, -2))
     u[~ok] = e0
     u *= np.where(u[:, :1] > 0, 1.0, -1.0)
     v = (M.swapaxes(-1, -2) @ _G @ u[..., None])[..., 0]
     nv = ((v @ _G)[:, None] @ v[..., None])[:, 0, 0]
-    ok &= (nv >= 1e-12) & (v[:, 0] > 0)  # else v is not time-like
+    ok &= (nv > 0) & (v[:, 0] > 0)
     v = v / np.sqrt(np.where(ok, nv, 1.0))[:, None]
     v[~ok] = e0
     uv = np.concatenate([u, v])
@@ -497,9 +497,8 @@ def _diagonal_form(M: np.ndarray):
     m00, or all but one opposite pair, take _axial_form's closed forms;
     every other row, X-pattern axial rows among them, takes _eigen_form.
     Returns their uv and d, the mask, and the pieces that _rotations takes.
-    The mask is False where u or v does not exist, or the boosts do not
-    whiten M: M has the X pattern. Those rows carry u = v = e0 through the
-    steps and hold finite values of no meaning.
+    The mask is False where the boosts do not whiten M: M has the X
+    pattern. Those rows hold finite values of no meaning.
     """
     b, ax = _axial(M)
     if not ax.any():
@@ -720,11 +719,12 @@ def _filtered_state(m: MuellerMatrix):
         raise XFormError(*_PRODUCT_PARAMS)
     if route[0] == _XF:
         raise XFormError(*_x_params(_x_form(M)[2]))
-    if route[0] == _BELL:
-        p, sigma, parts = min(M[0, 0], 1.0), M, None
+    if route[0] == _BELL:  # uv = e0 and d = diag M: p = min(M00, 1)
+        sigma, parts = M, None
     else:
         rot, sigma = _rotations(d, *pieces)
-        p, sigma, parts = _p_succ(uv, d)[0], sigma[0], (uv, rot)
+        sigma, parts = sigma[0], (uv, rot)
+    p = _p_succ(uv, d)[0]
     if not p > _P_FLOOR:
         raise ValueError("vanishing success probability")
     d = sigma.diagonal()[1:] / sigma[0, 0]

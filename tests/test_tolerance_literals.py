@@ -18,7 +18,7 @@ MAX_LITERALS = {
     "__init__.py": 0,
     "__main__.py": 0,
     "cli.py": 0,
-    "filtering.py": 17,
+    "filtering.py": 12,
     "metrics.py": 3,
     "protocol_sim.py": 1,
     "states.py": 3,
