@@ -106,10 +106,6 @@ XFORM = "XForm"
 _NORM_TOL = 1e-12
 # success probability below which a filter pair's output is undefined
 _P_FLOOR = 1e-12
-# most |M_ij| = |tr rho (sigma_i x sigma_j)| <= sum |lambda_k| of a state
-# that validate accepts: trace within _TRACE_TOL of 1, and at most three
-# eigenvalues below 0, none below _PSD_TOL
-_M_BOUND = 1.0 + _states._TRACE_TOL + 6.0 * abs(_states._PSD_TOL)
 
 
 class TrivialNormalFormError(ValueError):
@@ -850,20 +846,17 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     All N states take the route dispatch of :func:`filtered_key_rate` at
     once, for the normal form's values only: verdicts and numbers are its
     own to the bit, the X form and the maximally mixed state are not
-    filterable, and a p_succ at or below the p floor raises ValueError. So
-    do a trace off 1 by more than validate allows and an entry of M above
-    the bound it allows, NaN included: the route tests are absolute bounds,
-    for states. Temporaries grow with N, so ``sweep`` passes its cells 256
-    at a time.
+    filterable, and a p_succ at or below the p floor raises ValueError, as
+    does a row :func:`states.validate` rejects: the route tests are absolute
+    bounds, for states. Temporaries grow with N, so ``sweep`` passes its
+    cells 256 at a time.
     """
-    M = _states._mueller(np.asarray(rhos, dtype=complex).reshape(-1, 4, 4))
-    bad = np.flatnonzero(~(np.abs(M[:, 0, 0] - 1.0) <= _states._TRACE_TOL))
+    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    bad = np.flatnonzero(~_states._deviations(rhos)[1].all(axis=-1))
     if len(bad):
-        raise ValueError(f"trace != 1 in row {bad[0]}")
-    bad = np.flatnonzero(~(np.abs(M).max(axis=(-2, -1)) <= _M_BOUND))
-    if len(bad):
-        raise ValueError(f"|M| entry above 1 in row {bad[0]}")
-    return _batch(M)
+        fails = _states.validate(TwoQubitState(rhos[bad[0]])).failures
+        raise ValueError(f"invalid state in row {bad[0]}: {'; '.join(fails)}")
+    return _batch(_states._mueller(rhos))
 
 
 def _batch(M: np.ndarray) -> BatchOutcome:

@@ -29,14 +29,13 @@ import numpy as np
 from .filtering import _filtered_state
 from .metrics import (_UNIT_TOL, _chsh, correlation_spectrum,
                       optimal_chsh_settings, qber)
-from .states import TwoQubitState, to_mueller
+from .states import _PSD_TOL, _TRACE_TOL, TwoQubitState, to_mueller
 
 __all__ = ["SimConfig", "SimReport", "born_joint_distribution",
            "run_protocol"]
 
 _BLOCK = 1 << 19  # draw-block length; part of the reproducibility contract
 _SLICE = 1 << 14  # rounds per read of a draw; any length gives the same draws
-_BORN_TOL = 1e-12  # round-off of a Born table's entries and of its row sums
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,8 @@ def born_joint_distribution(state: TwoQubitState, a, b) -> np.ndarray:
     """Joint outcome probabilities for spin measurements along a and b.
 
     Returns [p(+,+), p(+,-), p(-,+), p(-,-)] with
-    p(s,t) = Tr[rho (1 + s a.sigma)/2 x (1 + t b.sigma)/2].
+    p(s,t) = Tr[rho (1 + s a.sigma)/2 x (1 + t b.sigma)/2]; RuntimeError
+    when they leave the bounds of a state :func:`states.validate` accepts.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -89,17 +89,20 @@ def born_joint_distribution(state: TwoQubitState, a, b) -> np.ndarray:
     return _born_table(to_mueller(state).m, np.array([[a], [b]]))[0]
 
 
-def _born_table(m: np.ndarray, ab: np.ndarray) -> np.ndarray:
+def _born_table(m: np.ndarray, ab: np.ndarray, p: float = 1.0) -> np.ndarray:
     # born_joint_distribution of the state with Mueller matrix m for the
-    # direction pairs a, b = ab[:, k], as rows k of a (K, 4) table
+    # direction pairs a, b = ab[:, k], as rows k of a (K, 4) table. Entries
+    # reach the least eigenvalue of a state validate accepts (over p after
+    # norm-1 filters that pass with probability p) and rows sum to its
+    # trace, each give or take _TRACE_TOL of round-off
     if not (np.abs(np.linalg.norm(ab, axis=-1) - 1.0) <= _UNIT_TOL).all():
         raise ValueError("measurement direction must be a unit 3-vector")
     # rows s = +1, -1 of (1, s a), columns t = +1, -1 of (1, t b)
     x = np.ones(ab.shape[:2] + (2, 4))
     x[..., 1:] = ab[:, :, None] * [[1.0], [-1.0]]
     probs = (x[0] @ m @ x[1].swapaxes(-1, -2)).reshape(-1, 4) / 4.0
-    if not (probs.min() >= -_BORN_TOL
-            and np.abs(probs.sum(axis=-1) - 1.0).max() <= _BORN_TOL):
+    if not (probs.min() >= (_PSD_TOL - _TRACE_TOL) / p
+            and np.abs(probs.sum(axis=-1) - 1.0).max() <= 2.0 * _TRACE_TOL):
         raise RuntimeError("Born probabilities inconsistent")
     return np.clip(probs, 0.0, None)
 
@@ -143,7 +146,7 @@ def run_protocol(state: TwoQubitState, config: SimConfig) -> SimReport:
 
     Raises the X-form error if filtering is requested on a state without
     a diagonal normal form, and ValueError when no rounds survive
-    sifting (q_emp would be undefined).
+    sifting (q_emp would be undefined). The state must pass validate.
     """
     if config.with_filtering:  # X-form and p floor errors propagate
         p_keep, m, spec, _ = _filtered_state(to_mueller(state))
@@ -155,7 +158,7 @@ def run_protocol(state: TwoQubitState, config: SimConfig) -> SimReport:
     chsh_pairs = [(av, bv) for av in (settings.a0, settings.a1)
                   for bv in (settings.b0, settings.b1)]
     # row layout: key (i,j) rows 0..3, chsh (i,j) rows 4..7
-    table = _born_table(m, np.swapaxes(key_pairs + chsh_pairs, 0, 1))
+    table = _born_table(m, np.swapaxes(key_pairs + chsh_pairs, 0, 1), p_keep)
     # outcome k of a row is the number of its bounds cum[0..2, row] below
     # the uniform; one contiguous column per bound gathers fastest
     cum = np.ascontiguousarray(np.cumsum(table, axis=1).T[:3])

@@ -141,7 +141,7 @@ class FamilySpec:
             if x is not None and not _is_number(x):
                 raise StateFileError(f"{name} must be a number, got {x!r}")
         if self.variant == "bell":
-            if self.label not in ("phi+", "phi-", "psi+", "psi-"):
+            if self.label not in tuple(_BELL_KETS):  # lists are unhashable
                 raise StateFileError(f"unknown bell label: {self.label!r}")
         elif self.variant == "werner":
             if self.p is None or not 0.0 <= self.p <= 1.0:
@@ -187,29 +187,32 @@ def _mueller(rho: np.ndarray) -> np.ndarray:
     return flat.reshape(rho.shape).real
 
 
-def validate(state: TwoQubitState) -> ValidityReport:
-    """Check Hermiticity, unit trace, and positivity at the module tolerances."""
-    rho = state.rho
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    hermitian = bool(herm_dev <= _HERM_TOL)
-    trace_dev = float(abs(np.trace(rho) - 1.0))
+def _deviations(rho: np.ndarray):
+    # validate's |rho - rho^H|, |tr rho - 1| and least eigenvalue (a floor
+    # bounds it) and their verdicts, (..., 4, 4) to (..., 3); non-finite: NaN
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    h = np.where(finite[..., None, None], rho, 0.0)  # no NaN reaches LAPACK
+    h_h = h.conj().swapaxes(-1, -2)
+    t = h.diagonal(0, -2, -1).sum(axis=-1) - 1.0  # hypot: abs() to the bit
+    dev = np.empty(finite.shape + (3,))
+    dev[..., 0] = np.abs(h - h_h).max(axis=(-2, -1))
+    dev[..., 1] = np.hypot(t.real, t.imag)
     # eigvalsh is only meaningful on the Hermitized matrix; halving before
     # the sum keeps it finite for entries near the largest float
-    min_eig = float(np.linalg.eigvalsh(rho / 2.0 + rho.conj().T / 2.0).min())
-    failures = []
-    if not hermitian:
-        failures.append(f"not Hermitian (max deviation {herm_dev:.3e})")
-    if trace_dev > _TRACE_TOL:
-        failures.append(f"trace != 1 (deviation {trace_dev:.3e})")
-    if min_eig < _PSD_TOL:
-        failures.append(f"negative eigenvalue ({min_eig:.3e})")
-    return ValidityReport(
-        hermitian=hermitian,
-        trace_dev=trace_dev,
-        min_eig=min_eig,
-        ok=not failures,
-        failures=tuple(failures),
-    )
+    dev[..., 2] = np.linalg.eigvalsh(h / 2 + h_h / 2)[..., 0]  # ascending
+    dev[~finite] = np.nan
+    return dev, dev * [1, 1, -1] <= [_HERM_TOL, _TRACE_TOL, -_PSD_TOL]
+
+
+def validate(state: TwoQubitState) -> ValidityReport:
+    """Check Hermiticity, unit trace, and positivity at the module tolerances;
+    a rho with a non-finite entry fails all three, with NaN deviations."""
+    dev, ok = _deviations(state.rho)
+    failures = tuple(text % d for text, d, good in zip(
+        ("not Hermitian (max deviation %.3e)", "trace != 1 (deviation %.3e)",
+         "negative eigenvalue (%.3e)"), dev, ok) if not good)
+    return ValidityReport(bool(ok[0]), float(dev[1]), float(dev[2]),
+                          ok=not failures, failures=failures)
 
 
 def to_mueller(state: TwoQubitState) -> MuellerMatrix:

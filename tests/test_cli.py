@@ -77,6 +77,21 @@ def test_analyze_singlet(capsys, singlet_file):
     assert doc["validity"]["ok"] is True
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": {"variant": "werner", "p": 0}},
+    matrix_doc(np.diag([0.5, 0.5, 0, 0])),  # |0><0| x I/2
+], ids=["werner-0", "product"])
+def test_analyze_without_correlations_prints_null_settings(capsys, tmp_path,
+                                                           doc):
+    """A zero correlation block has no preferred CHSH settings: the report
+    says null, and stays schema-valid."""
+    code, out, err = run(capsys, ["analyze", write(tmp_path, "s.json", doc)])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("analysis_report.schema.json"))
+    assert doc["optimal_settings"] is None and doc["s_max"] == 0.0
+
+
 def test_analyze_gisin(capsys, gisin_file):
     code, out, _ = run(capsys, ["analyze", gisin_file])
     assert code == 0
@@ -139,6 +154,10 @@ def test_analyze_unknown_keys(capsys, tmp_path, doc, key):
     {"family": {"variant": "werner", "p": "0.5"}},
     {"family": {"variant": "werner", "p": True}},
     {"family": {"variant": "werner", "p": 0.5}, "depolarize": True},
+    # nor is a family, a label or the whole document anything else
+    {"family": 3},
+    {"family": {"variant": "bell", "label": ["phi+"]}},
+    [{"family": {"variant": "bell", "label": "phi+"}}],
 ])
 def test_non_number_family_parameters_exit_64(capsys, tmp_path, doc):
     path = write(tmp_path, "state.json", doc)
@@ -288,6 +307,11 @@ def test_filter_filtered_nearly_product_pure_states_exit_in_contract(
         pair = filtering.filtered_key_rate(st).filters
         mo = states.to_mueller(filtering.apply_filters(st, pair)[0]).m
         assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) <= 1e-7, i
+        # the simulator samples the filtered state, whose Born entries carry
+        # the boosts' round-off: an answer, never a traceback
+        code, _, err = run(capsys, ["simulate", path, "--with-filtering",
+                                    "--rounds", "2000"])
+        assert code in (0, 1) and (code == 0 or err.startswith("error: ")), i
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +363,17 @@ def test_simulate_bytes_frozen(capsys, gisin_file):
                                   "--seed", "9", "--with-filtering"])
     assert code == 0 and err == ""
     assert out == SIMULATE_FROZEN
+
+
+@pytest.mark.parametrize("eps", [1e-11, 5e-10, 9e-10])
+def test_simulate_states_validate_accepts(capsys, tmp_path, eps):
+    """diag(1 + eps, 0, 0, -eps) passes validate, whose eigenvalue bound is
+    -1e-9, so its Born entries down to -eps are the simulator's too."""
+    rho = np.diag([1 + eps, 0, 0, -eps])
+    path = write(tmp_path, "s.json", matrix_doc(rho))
+    code, out, err = run(capsys, ["simulate", path, "--rounds", "2000"])
+    assert code == 0 and err == ""
+    jsonschema.validate(json.loads(out), schema("sim_report.schema.json"))
 
 
 def test_simulate_xform_exit(capsys, tmp_path):
@@ -436,10 +471,11 @@ def test_sweep_pure_row(capsys, tmp_path):
 
 
 def test_sweep_bad_range(capsys, tmp_path):
-    code, _, err = run(capsys, ["sweep", "--family", "gisin",
-                                "--alpha", "nope", "--mu", "0.5:0.9:3",
-                                "--out", str(tmp_path / "x.csv")])
-    assert code == 64 and "range" in err
+    for alpha in ("nope", "0.1:0.9:x", "0.9:0.1:3"):
+        code, _, err = run(capsys, ["sweep", "--family", "gisin",
+                                    "--alpha", alpha, "--mu", "0.5:0.9:3",
+                                    "--out", str(tmp_path / "x.csv")])
+        assert code == 64 and "range" in err, alpha
 
 
 def test_sweep_out_of_domain(capsys, tmp_path):

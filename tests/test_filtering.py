@@ -785,27 +785,37 @@ def test_batch_equals_scalar(monkeypatch):
 
 def test_batch_rejects_trace_off_one():
     """The batch's route tests are absolute, for states, so it raises
-    ValueError on a row whose trace is off 1 by more than validate allows,
-    or with an entry of M above the bound validate allows, NaN included,
-    and warns of nothing: 1e300 I once overflowed the purity test and came
-    back filterable, 1e-300 I met the p floor, and 3 times a Werner state
-    came back filterable with p_succ 1. Of unit trace, I / 4 with rho03 =
-    rho30 = 1e200 overflowed the purity test, and with 1e10 it came back
-    filterable with p_succ 1 and lambdas (2e10, 2e10, 0). The rows of
-    trace off 1 normalised give the verdicts of the normalised states."""
+    ValueError on every row that validate rejects, NaN included, naming the
+    row and validate's failures, and warns of nothing: 1e300 I once
+    overflowed the purity test and came back filterable, 1e-300 I met the
+    p floor, and 3 times a Werner state came back filterable with p_succ 1.
+    Of unit trace, I / 4 with rho03 = rho30 = 1e200 overflowed the purity
+    test, and with 1e10 it came back filterable with p_succ 1 and lambdas
+    (2e10, 2e10, 0). A rank-2 state with its least eigenvalue lowered by
+    1e-6 and renormalised keeps every |M_ij| at most 1 and was accepted. The
+    rows of trace off 1 normalised give the verdicts of the normalised
+    states."""
     werner = states.make_family(states.FamilySpec(variant="werner", p=0.8)).rho
     mixed = np.eye(4, dtype=complex) / 4.0
     nan = np.full((4, 4), np.nan)
     coherent = [mixed.copy(), mixed.copy()]
     for c, big in zip(coherent, (1e200, 1e10)):
         c[0, 3] = c[3, 0] = big
-    trace = "^trace != 1 in row 1$"
-    entry = r"^\|M\| entry above 1 in row 1$"
+    w, v = np.linalg.eigh(random_density_matrix(np.random.default_rng(5), 2))
+    w[0] -= 1e-6
+    shifted = (v * w) @ v.conj().T
+    shifted /= np.trace(shifted).real
+    row = "^invalid state in row 1: "
+    trace = row + r"trace != 1 \(deviation \S+\)$"
+    negative = row + r"negative eigenvalue \(-\S+\)$"
+    nans = row + (r"not Hermitian \(max deviation nan\); trace != 1 "
+                  r"\(deviation nan\); negative eigenvalue \(nan\)$")
     for rho, want, match in ((1e300 * np.eye(4), mixed, trace),
                              (1e-300 * np.eye(4), mixed, trace),
-                             (3.0 * werner, werner, trace), (nan, None, trace),
-                             (coherent[0], None, entry),
-                             (coherent[1], None, entry)):
+                             (3.0 * werner, werner, trace), (nan, None, nans),
+                             (coherent[0], None, negative),
+                             (coherent[1], None, negative),
+                             (shifted, None, negative)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):

@@ -223,6 +223,17 @@ def test_validate_failures_name_the_invariant():
     assert any("eigenvalue" in f for f in rep.failures)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_non_finite_fails_every_check(bad):
+    """A non-finite entry reads NaN deviations and fails, with no LAPACK
+    call on it (eigvalsh raised LinAlgError on NaN)."""
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 0] = bad
+    rep = states.validate(states.TwoQubitState(rho))
+    assert not rep.ok and not rep.hermitian and len(rep.failures) == 3
+    assert np.isnan(rep.trace_dev) and np.isnan(rep.min_eig)
+
+
 def test_validate_tolerances():
     # tiny asymmetry and trace error stay inside the tolerances
     rho = np.eye(4, dtype=complex) / 4
