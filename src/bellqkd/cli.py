@@ -184,7 +184,10 @@ def _parse_range(text: str, lo: float, hi: float) -> np.ndarray:
     if n < 1 or not (lo <= a <= b <= hi):
         raise _CliError(EXIT_USAGE,
                         f"range {text!r} outside [{lo:g}, {hi:g}] or empty")
-    return np.linspace(a, b, n)
+    try:
+        return np.linspace(a, b, n)
+    except (ValueError, IndexError, MemoryError):  # numpy's size limits
+        raise _CliError(EXIT_USAGE, f"range {text!r} has too many points")
 
 
 # Cells per call of filtering._batch, written to the CSV before the next

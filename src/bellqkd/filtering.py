@@ -39,11 +39,12 @@ eigenspace route. Both give u, v, sigma0 and sigma's other entries up to
 order and sign; one step orders and signs them and builds the rotations.
 
 One function, _forms, decides the route of every state, over a stack:
-normal_form, the one-state filter path and filtered_key_rate_batch read it,
-and no state of a batch goes through filtered_key_rate. None applies the
+the one-state filter path and filtered_key_rate_batch read it, and no
+state of a batch goes through filtered_key_rate. Neither applies the
 filters: the filtered state's Mueller matrix is sigma / sigma0, |det f| =
 1 / (w0 + |w|) makes p_succ = sigma0 / ((u0 + |u|)(v0 + |v|)), and the
 batch, which builds no rotation, sorts |values| / sigma0 for its lambdas.
+An X form is built only for the (a, b, c, d) that XFormError carries.
 
 Entanglement measures (Wootters concurrence, entanglement of formation)
 live here too since the filtering analysis is what consumes them.
@@ -62,7 +63,6 @@ from .states import MuellerMatrix, TwoQubitState, _frozen_array, to_mueller
 __all__ = [
     "MINKOWSKI_G",
     "FilterPair",
-    "NormalForm",
     "FilterOutcome",
     "EntanglementReport",
     "MetricsSummary",
@@ -70,9 +70,6 @@ __all__ = [
     "TrivialNormalFormError",
     "DIAGONAL",
     "XFORM",
-    "filter_to_lorentz",
-    "normal_form",
-    "apply_filters",
     "concurrence",
     "entanglement_of_formation",
     "entanglement_report",
@@ -162,23 +159,6 @@ def _norm_ok(f: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NormalForm:
-    """m = l1 . sigma . l2^T with l1, l2 proper orthochronous, all three
-    read-only 4x4 arrays; xform_params only for kind=XForm."""
-
-    kind: str
-    l1: np.ndarray
-    l2: np.ndarray
-    sigma: np.ndarray
-    xform_params: tuple | None = None
-
-    def __post_init__(self):
-        for name in ("l1", "l2", "sigma"):
-            object.__setattr__(self, name,
-                               _frozen_array(getattr(self, name), float))
-
-
-@dataclass(frozen=True)
 class EntanglementReport:
     concurrence: float
     eof: float
@@ -208,17 +188,10 @@ class FilterOutcome:
 # ---------------------------------------------------------------------------
 # double cover
 
-def filter_to_lorentz(f) -> np.ndarray:
-    """Lorentz image of a filter: L = V (f x f*) V^dag / |det f|."""
-    f = np.asarray(f, dtype=complex).reshape(2, 2)
-    det = np.linalg.det(f)
-    if not abs(det) > 1e-12:  # NaN fails
-        raise ValueError("filter must be nonsingular")
-    L = _V @ np.kron(f, f.conj()) @ _V.conj().T / abs(det)
-    resid = np.abs(L.imag).max()
-    if not resid <= 1e-10:
-        raise ValueError(f"Lorentz image not real (residue {resid:.3e})")
-    return L.real
+def _lorentz(f: np.ndarray) -> np.ndarray:
+    # Lorentz image V (f x f*) V^dag / |det f| of a nonsingular filter f
+    return (_V @ np.kron(f, f.conj()) @ _V.conj().T
+            / abs(np.linalg.det(f))).real
 
 
 def _boost_filter(w: np.ndarray) -> np.ndarray:
@@ -545,7 +518,7 @@ def _rotation_to(r: np.ndarray) -> np.ndarray:
     rho = np.array([[1.0 + r[2], r[0] - 1j * r[1]],
                     [r[0] + 1j * r[1], 1.0 - r[2]]])
     a, b = np.linalg.eigh(rho)[1][:, 1]
-    return filter_to_lorentz([[a, -b.conjugate()], [b, a.conjugate()]])
+    return _lorentz(np.array([[a, -b.conjugate()], [b, a.conjugate()]]))
 
 
 # Rank-2 X states have d^2 = (a + c)(a - b) exactly, which makes the system
@@ -658,36 +631,6 @@ def _x_params(sigma: np.ndarray) -> tuple:
                  for i, j in ((0, 0), (0, 3), (3, 0), (1, 1)))
 
 
-def normal_form(m: MuellerMatrix) -> NormalForm:
-    """Decompose m = l1 . sigma . l2^T under proper orthochronous transforms.
-
-    Almost every state yields kind=Diagonal. States that no pair of boosts
-    whitens (a measure-zero set, pure product states among them) yield
-    kind=XForm with the (a, b, c, d) pattern parameters of the fixed member
-    the module docstring names. The maximally mixed state is rejected.
-    """
-    M = np.asarray(m.m, dtype=float)
-    route, uv, d, pieces = _forms(M[None])
-    if route[0] == _BELL:
-        return NormalForm(kind=DIAGONAL, l1=_I4, l2=_I4, sigma=M)
-    if route[0] == _DIAG:
-        rot, sigma = _rotations(d, *pieces)
-        L = _boost(uv) @ _spatial(rot)
-        return NormalForm(kind=DIAGONAL, l1=L[0], l2=L[1], sigma=sigma[0])
-    if route[0] == _TRIVIAL:
-        raise TrivialNormalFormError("normal form undefined/trivial")
-    if route[0] == _PRODUCT:
-        # M = (1, r)(1, s)^T with unit r and s, which is the X pattern
-        # (1, 1, 1, 0) turned by the rotations taking z to r, s
-        return NormalForm(kind=XFORM, l1=_rotation_to(M[1:, 0]),
-                          l2=_rotation_to(M[0, 1:]),
-                          sigma=np.outer(_E_PLUS, _E_PLUS),
-                          xform_params=_PRODUCT_PARAMS)
-    L1, L2, sigma = _x_form(M)
-    return NormalForm(kind=XFORM, l1=L1, l2=L2, sigma=sigma,
-                      xform_params=_x_params(sigma))
-
-
 # ---------------------------------------------------------------------------
 # filters
 
@@ -737,17 +680,6 @@ def _p_succ(uv: np.ndarray, d: np.ndarray) -> np.ndarray:
     w = uv[:, 0] + np.linalg.norm(uv[:, 1:], axis=-1)
     n = len(d)
     return np.minimum(d[:, 0] / (w[:n] * w[n:]), 1.0)
-
-
-def apply_filters(state: TwoQubitState, pair: FilterPair):
-    """Post-selected state (M1 x N1) rho (M1 x N1)^dag / p and its p_succ."""
-    K = np.kron(pair.m1, pair.n1)
-    out = K @ state.rho @ K.conj().T
-    # p <= 1 for filters of norm <= 1; round-off can put it an ulp above
-    p = min(float(np.trace(out).real), 1.0)
-    if not p > _P_FLOOR:
-        raise ValueError("vanishing success probability")
-    return TwoQubitState(out / p), p
 
 
 # ---------------------------------------------------------------------------

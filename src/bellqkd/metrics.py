@@ -25,7 +25,6 @@ __all__ = [
     "correlation_spectrum",
     "chsh_max",
     "optimal_chsh_settings",
-    "chsh_value",
     "qber",
     "key_rate_symmetric",
     "q_crit",
@@ -194,14 +193,9 @@ def optimal_chsh_settings(spec: CorrelationSpectrum) -> ChshSettings:
     return ChshSettings(a0=a0, a1=a1, b0=b0, b1=b1)
 
 
-def chsh_value(state: TwoQubitState, settings: ChshSettings) -> float:
-    """Bell-operator expectation a0.T(b0+b1) + a1.T(b0-b1); the settings
-    hold unit vectors, which :class:`ChshSettings` checked."""
-    return _chsh(to_mueller(state).t_block, settings)
-
-
 def _chsh(T: np.ndarray, settings: ChshSettings) -> float:
-    # chsh_value of the state with correlation block T
+    # Bell-operator expectation a0.T(b0+b1) + a1.T(b0-b1) of the state with
+    # correlation block T; ChshSettings holds unit vectors
     return float(settings.a0 @ T @ (settings.b0 + settings.b1)
                  + settings.a1 @ T @ (settings.b0 - settings.b1))
 

@@ -31,8 +31,7 @@ from .metrics import (_UNIT_TOL, _chsh, correlation_spectrum,
                       optimal_chsh_settings, qber)
 from .states import _PSD_TOL, _TRACE_TOL, TwoQubitState, to_mueller
 
-__all__ = ["SimConfig", "SimReport", "born_joint_distribution",
-           "run_protocol"]
+__all__ = ["SimConfig", "SimReport", "run_protocol"]
 
 _BLOCK = 1 << 19  # draw-block length; part of the reproducibility contract
 _SLICE = 1 << 14  # rounds per read of a draw; any length gives the same draws
@@ -75,26 +74,13 @@ class SimReport:
     p_succ_analytic: float
 
 
-def born_joint_distribution(state: TwoQubitState, a, b) -> np.ndarray:
-    """Joint outcome probabilities for spin measurements along a and b.
-
-    Returns [p(+,+), p(+,-), p(-,+), p(-,-)] with
-    p(s,t) = Tr[rho (1 + s a.sigma)/2 x (1 + t b.sigma)/2]; RuntimeError
-    when they leave the bounds of a state :func:`states.validate` accepts.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValueError("measurement direction must be a unit 3-vector")
-    return _born_table(to_mueller(state).m, np.array([[a], [b]]))[0]
-
-
-def _born_table(m: np.ndarray, ab: np.ndarray, p: float = 1.0) -> np.ndarray:
-    # born_joint_distribution of the state with Mueller matrix m for the
-    # direction pairs a, b = ab[:, k], as rows k of a (K, 4) table. Entries
-    # reach the least eigenvalue of a state validate accepts (over p after
-    # norm-1 filters that pass with probability p) and rows sum to its
-    # trace, each give or take _TRACE_TOL of round-off
+def _born_table(m: np.ndarray, ab: np.ndarray, p: float) -> np.ndarray:
+    # p(s,t) = Tr[rho (1 + s a.sigma)/2 x (1 + t b.sigma)/2], st = ++, +-,
+    # -+, --, of the state with Mueller matrix m for the unit directions a,
+    # b = ab[:, k], as rows k of a (K, 4) table. Entries reach the least
+    # eigenvalue of a state validate accepts (over p after norm-1 filters
+    # that pass with probability p) and rows sum to its trace, each give or
+    # take _TRACE_TOL of round-off; RuntimeError where they do not
     if not (np.abs(np.linalg.norm(ab, axis=-1) - 1.0) <= _UNIT_TOL).all():
         raise ValueError("measurement direction must be a unit 3-vector")
     # rows s = +1, -1 of (1, s a), columns t = +1, -1 of (1, t b)

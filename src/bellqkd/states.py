@@ -98,11 +98,6 @@ class MuellerMatrix:
             raise InvalidStateError(f"m must be 4x4, got {a.shape}")
         object.__setattr__(self, "m", a)
 
-    @property
-    def t_block(self) -> np.ndarray:
-        """3x3 correlation block."""
-        return self.m[1:, 1:]
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -187,30 +182,40 @@ def _mueller(rho: np.ndarray) -> np.ndarray:
     return flat.reshape(rho.shape).real
 
 
+# validate's verdicts on its deviations: dev * _SIGNS <= _BOUNDS
+_SIGNS = np.array([1.0, 1.0, -1.0])
+_BOUNDS = np.array([_HERM_TOL, _TRACE_TOL, -_PSD_TOL])
+
+
 def _deviations(rho: np.ndarray):
     # validate's |rho - rho^H|, |tr rho - 1| and least eigenvalue (a floor
     # bounds it) and their verdicts, (..., 4, 4) to (..., 3); non-finite: NaN
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    h = np.where(finite[..., None, None], rho, 0.0)  # no NaN reaches LAPACK
+    bad = ~np.isfinite(rho).all(axis=(-2, -1))
+    # zeros in their place, so no NaN reaches LAPACK
+    h = np.where(bad[..., None, None], 0.0, rho) if bad.any() else rho
     h_h = h.conj().swapaxes(-1, -2)
     t = h.diagonal(0, -2, -1).sum(axis=-1) - 1.0  # hypot: abs() to the bit
-    dev = np.empty(finite.shape + (3,))
+    dev = np.empty(bad.shape + (3,))
     dev[..., 0] = np.abs(h - h_h).max(axis=(-2, -1))
     dev[..., 1] = np.hypot(t.real, t.imag)
     # eigvalsh is only meaningful on the Hermitized matrix; halving before
     # the sum keeps it finite for entries near the largest float
     dev[..., 2] = np.linalg.eigvalsh(h / 2 + h_h / 2)[..., 0]  # ascending
-    dev[~finite] = np.nan
-    return dev, dev * [1, 1, -1] <= [_HERM_TOL, _TRACE_TOL, -_PSD_TOL]
+    if h is not rho:
+        dev[bad] = np.nan
+    return dev, dev * _SIGNS <= _BOUNDS
 
 
 def validate(state: TwoQubitState) -> ValidityReport:
     """Check Hermiticity, unit trace, and positivity at the module tolerances;
-    a rho with a non-finite entry fails all three, with NaN deviations."""
+    a rho with a non-finite entry fails all three, with NaN deviations, and
+    reports the one failure "non-finite entry"."""
     dev, ok = _deviations(state.rho)
     failures = tuple(text % d for text, d, good in zip(
         ("not Hermitian (max deviation %.3e)", "trace != 1 (deviation %.3e)",
          "negative eigenvalue (%.3e)"), dev, ok) if not good)
+    if np.isnan(dev[0]):  # only a non-finite entry reads NaN
+        failures = ("non-finite entry",)
     return ValidityReport(bool(ok[0]), float(dev[1]), float(dev[2]),
                           ok=not failures, failures=failures)
 
@@ -311,7 +316,7 @@ def parse_state_spec(doc: dict) -> TwoQubitState:
         raw = doc["matrix"]
         try:
             arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StateFileError(f"matrix entries must be [re, im] pairs: {exc}")
         if arr.shape != (4, 4, 2):
             raise StateFileError(

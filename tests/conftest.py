@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -65,6 +67,47 @@ def filtered(rho: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     k = np.kron(f, g)
     out = k @ rho @ k.conj().T
     return out / np.trace(out).real
+
+
+def apply_filters(state: states.TwoQubitState, pair: filtering.FilterPair):
+    """The state (m1 x n1) rho (m1 x n1)^dag / p that a FilterPair's filters
+    leave, and their success probability p, its trace before that: the
+    oracle of the tests that filter in state space. p <= 1 for filters of
+    norm <= 1, and round-off can put the trace an ulp above, so p is
+    clipped to 1."""
+    k = np.kron(pair.m1, pair.n1)
+    out = k @ state.rho @ k.conj().T
+    p = min(float(np.trace(out).real), 1.0)
+    return states.TwoQubitState(out / p), p
+
+
+NormalForm = namedtuple("NormalForm", "kind l1 l2 sigma xform_params")
+
+
+def normal_form(m: states.MuellerMatrix) -> NormalForm:
+    """m = l1 sigma l2^T with l1, l2 proper orthochronous, assembled from
+    the pieces the filter path reads: the route of _forms; for a Diagonal
+    form the boosts of its uv and the rotations of _rotations; for the X
+    form _x_form, or for pure products M = (1, r)(1, s)^T the pattern
+    (1, 1, 1, 0) turned by the rotations taking z to r and s. The maximally
+    mixed state raises TrivialNormalFormError."""
+    f = filtering
+    M = np.asarray(m.m, dtype=float)
+    route, uv, d, pieces = f._forms(M[None])
+    if route[0] == f._TRIVIAL:
+        raise f.TrivialNormalFormError("normal form undefined/trivial")
+    if route[0] == f._BELL:
+        return NormalForm(f.DIAGONAL, np.eye(4), np.eye(4), M, None)
+    if route[0] == f._DIAG:
+        rot, sigma = f._rotations(d, *pieces)
+        L = f._boost(uv) @ f._spatial(rot)
+        return NormalForm(f.DIAGONAL, L[0], L[1], sigma[0], None)
+    if route[0] == f._PRODUCT:
+        return NormalForm(f.XFORM, f._rotation_to(M[1:, 0]),
+                          f._rotation_to(M[0, 1:]),
+                          np.outer(f._E_PLUS, f._E_PLUS), f._PRODUCT_PARAMS)
+    L1, L2, sigma = f._x_form(M)
+    return NormalForm(f.XFORM, L1, L2, sigma, f._x_params(sigma))
 
 
 def filtered_nearly_product_pure_states(rng: np.random.Generator, n: int):

@@ -15,7 +15,8 @@ from scipy import optimize
 
 from bellqkd import cli, filtering, metrics, protocol_sim, states
 
-from conftest import lorentz_filter, random_density_matrix, random_filter
+from conftest import (apply_filters, lorentz_filter, normal_form,
+                      random_density_matrix, random_filter)
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -119,7 +120,7 @@ def test_paper_p_succ_is_the_inverse_filter_pair():
     out = filtering.filtered_key_rate(st)
     inv = [np.linalg.inv(f) for f in (out.filters.m1, out.filters.n1)]
     pair = filtering.FilterPair(*(f / np.linalg.norm(f, 2) for f in inv))
-    filtered, p = filtering.apply_filters(st, pair)
+    filtered, p = apply_filters(st, pair)
     assert p == pytest.approx(P_INVERSE, abs=1e-9)
     assert abs(p - 0.799) <= 2e-3
 
@@ -233,9 +234,8 @@ def _pos_filter(x):
 
 def _filtered_chsh(state, x):
     pair = filtering.FilterPair(m1=_pos_filter(x[:3]), n1=_pos_filter(x[3:]))
-    try:
-        out, _ = filtering.apply_filters(state, pair)
-    except ValueError:
+    out, p = apply_filters(state, pair)
+    if not p > filtering._P_FLOOR:  # the filters pass (next to) nothing
         return -4.0
     return metrics.chsh_max(metrics.correlation_spectrum(out))
 
@@ -348,10 +348,10 @@ def test_acceptance_7_property_suites(record_acceptance):
     produced = []
     for alpha in np.linspace(0.1, 0.95, 6):
         for mu in np.linspace(0.1, 0.99, 6):
-            nf = filtering.normal_form(states.to_mueller(gisin(alpha, mu)))
+            nf = normal_form(states.to_mueller(gisin(alpha, mu)))
             produced += [nf.l1, nf.l2]
     for _ in range(100):
-        produced.append(filtering.filter_to_lorentz(random_filter(rng)))
+        produced.append(filtering._lorentz(random_filter(rng)))
     worst = 0.0
     for L in produced:
         worst = max(worst,
@@ -368,7 +368,7 @@ def test_acceptance_7_property_suites(record_acceptance):
         st = states.TwoQubitState(random_density_matrix(rng))
         pair = filtering.FilterPair(m1=random_filter(rng, 0.05),
                                     n1=random_filter(rng, 0.05))
-        out, p = filtering.apply_filters(st, pair)
+        out, p = apply_filters(st, pair)
         lhs = filtering.concurrence(out) * p
         rhs = (filtering.concurrence(st) * abs(np.linalg.det(pair.m1))
                * abs(np.linalg.det(pair.n1)))
@@ -383,10 +383,10 @@ def test_acceptance_7_property_suites(record_acceptance):
         st = states.TwoQubitState(random_density_matrix(rng))
         pair = filtering.FilterPair(m1=random_filter(rng),
                                     n1=random_filter(rng))
-        out, _ = filtering.apply_filters(st, pair)
-        expect = (filtering.filter_to_lorentz(pair.m1)
+        out, _ = apply_filters(st, pair)
+        expect = (filtering._lorentz(pair.m1)
                   @ states.to_mueller(st).m
-                  @ filtering.filter_to_lorentz(pair.n1).T)
+                  @ filtering._lorentz(pair.n1).T)
         expect = expect / expect[0, 0]
         worst = max(worst, np.abs(states.to_mueller(out).m - expect).max())
     check(fails, worst <= 1e-8,
@@ -397,7 +397,7 @@ def test_acceptance_7_property_suites(record_acceptance):
     worst = 1.0
     for _ in range(200):
         f = random_filter(rng, min_det=0.05)
-        g = lorentz_filter(filtering.filter_to_lorentz(f))
+        g = lorentz_filter(filtering._lorentz(f))
         worst = min(worst, abs(np.vdot(g, f))
                     / (np.linalg.norm(g) * np.linalg.norm(f)))
     check(fails, worst >= 1 - 1e-8,

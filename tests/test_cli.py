@@ -14,9 +14,9 @@ import pytest
 
 from bellqkd import cli, filtering, states
 
-from conftest import (filtered, filtered_nearly_product_pure_states,
-                      haar_su2, random_density_matrix, random_filter,
-                      x_mixture)
+from conftest import (apply_filters, filtered,
+                      filtered_nearly_product_pure_states, haar_su2,
+                      random_density_matrix, random_filter, x_mixture)
 
 RHO_X_ROWS = [[0.375, 0, 0, 0.375],
               [0, 0.25, 0, 0],
@@ -167,8 +167,9 @@ def test_non_number_family_parameters_exit_64(capsys, tmp_path, doc):
 
 
 @pytest.mark.parametrize("command", ["analyze", "filter"])
-@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN", '"0.0"',
-                                   "false"])
+@pytest.mark.parametrize("entry", [
+    "Infinity", "-Infinity", "NaN", '"0.0"', "false",
+    pytest.param("1" + "0" * 400, id="huge-int")])
 def test_non_number_matrix_entries_exit_64(capsys, tmp_path, command, entry):
     text = json.dumps(matrix_doc(np.eye(4) / 4)).replace("0.0", entry, 1)
     assert entry in text
@@ -305,7 +306,7 @@ def test_filter_filtered_nearly_product_pure_states_exit_in_contract(
         # the report rounds the filters to 9 digits: whiten with the library's
         st = states.TwoQubitState(rho)
         pair = filtering.filtered_key_rate(st).filters
-        mo = states.to_mueller(filtering.apply_filters(st, pair)[0]).m
+        mo = states.to_mueller(apply_filters(st, pair)[0]).m
         assert max(np.abs(mo[0, 1:]).max(), np.abs(mo[1:, 0]).max()) <= 1e-7, i
         # the simulator samples the filtered state, whose Born entries carry
         # the boosts' round-off: an answer, never a traceback
@@ -471,7 +472,10 @@ def test_sweep_pure_row(capsys, tmp_path):
 
 
 def test_sweep_bad_range(capsys, tmp_path):
-    for alpha in ("nope", "0.1:0.9:x", "0.9:0.1:3"):
+    # counts past numpy's size limits fail before anything is allocated
+    for alpha in ("nope", "0.1:0.9:x", "0.9:0.1:3",
+                  "0.1:0.2:100000000000000000000",
+                  "0.1:0.2:9223372036854775808"):
         code, _, err = run(capsys, ["sweep", "--family", "gisin",
                                     "--alpha", alpha, "--mu", "0.5:0.9:3",
                                     "--out", str(tmp_path / "x.csv")])

@@ -156,7 +156,7 @@ def test_chsh_value_reaches_chsh_max():
         st = states.TwoQubitState(random_density_matrix(rng))
         spec = metrics.correlation_spectrum(st)
         settings = metrics.optimal_chsh_settings(spec)
-        s = metrics.chsh_value(st, settings)
+        s = metrics._chsh(t_block(st), settings)
         assert abs(s - metrics.chsh_max(spec)) < 1e-9
 
 
@@ -170,7 +170,7 @@ def test_chsh_value_formula():
     b1 = (z - x) / np.sqrt(2)
     settings = metrics.ChshSettings(a0=z, a1=x, b0=b0, b1=b1)
     expect = z @ T @ (b0 + b1) + x @ T @ (b0 - b1)
-    assert abs(metrics.chsh_value(st, settings) - expect) < 1e-12
+    assert abs(metrics._chsh(T, settings) - expect) < 1e-12
     assert abs(expect - 2 * np.sqrt(2)) < 1e-12
 
 

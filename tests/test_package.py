@@ -27,18 +27,16 @@ PUBLIC = [
     "bell_state", "load_state_file", "parse_state_spec",
     # metrics
     "CorrelationSpectrum", "ChshSettings", "KeyMetrics", "Region",
-    "correlation_spectrum", "chsh_max", "optimal_chsh_settings",
-    "chsh_value", "qber", "key_rate_symmetric", "q_crit", "q_crit_symmetric",
-    "classify",
+    "correlation_spectrum", "chsh_max", "optimal_chsh_settings", "qber",
+    "key_rate_symmetric", "q_crit", "q_crit_symmetric", "classify",
     # filtering
-    "MINKOWSKI_G", "FilterPair", "NormalForm", "FilterOutcome",
-    "EntanglementReport", "MetricsSummary", "XFormError",
-    "TrivialNormalFormError", "DIAGONAL", "XFORM", "filter_to_lorentz",
-    "normal_form", "apply_filters", "concurrence", "entanglement_of_formation",
+    "MINKOWSKI_G", "FilterPair", "FilterOutcome", "EntanglementReport",
+    "MetricsSummary", "XFormError", "TrivialNormalFormError", "DIAGONAL",
+    "XFORM", "concurrence", "entanglement_of_formation",
     "entanglement_report", "summarize_metrics", "filtered_key_rate",
     "BatchOutcome", "filtered_key_rate_batch",
     # protocol_sim
-    "SimConfig", "SimReport", "born_joint_distribution", "run_protocol",
+    "SimConfig", "SimReport", "run_protocol",
     "__version__",
 ]
 

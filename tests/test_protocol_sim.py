@@ -31,14 +31,20 @@ def spin_projectors(v):
 # ---------------------------------------------------------------------------
 # Born sampling distribution
 
+def born(st, a, b):
+    # the Born table row of directions a, b, as run_protocol builds it
+    ab = np.array([[a], [b]], dtype=float)
+    return protocol_sim._born_table(states.to_mueller(st).m, ab, 1.0)[0]
+
+
 def test_born_singlet_zz():
-    p = protocol_sim.born_joint_distribution(SINGLET, [0, 0, 1], [0, 0, 1])
+    p = born(SINGLET, [0, 0, 1], [0, 0, 1])
     assert np.abs(p - [0.0, 0.5, 0.5, 0.0]).max() < 1e-12
 
 
 def test_born_maximally_mixed_uniform():
     mixed = states.TwoQubitState(np.eye(4, dtype=complex) / 4)
-    p = protocol_sim.born_joint_distribution(mixed, [1, 0, 0], [0, 0, 1])
+    p = born(mixed, [1, 0, 0], [0, 0, 1])
     assert np.abs(p - 0.25).max() < 1e-12
 
 
@@ -51,7 +57,7 @@ def test_born_reproduces_mueller_moments():
         a /= np.linalg.norm(a)
         b = rng.normal(size=3)
         b /= np.linalg.norm(b)
-        p = protocol_sim.born_joint_distribution(st, a, b)
+        p = born(st, a, b)
         assert abs(p.sum() - 1.0) < 1e-12
         corr = p[0] - p[1] - p[2] + p[3]
         assert abs(corr - a @ m[1:, 1:] @ b) < 1e-12
@@ -64,14 +70,14 @@ def test_born_reproduces_mueller_moments():
 
 def test_born_rejects_non_unit_direction():
     with pytest.raises(ValueError):
-        protocol_sim.born_joint_distribution(SINGLET, [0, 0, 2], [0, 0, 1])
+        born(SINGLET, [0, 0, 2], [0, 0, 1])
     with pytest.raises(ValueError):
-        protocol_sim.born_joint_distribution(SINGLET, [0, 0, 1], [0.5, 0, 0])
+        born(SINGLET, [0, 0, 1], [0.5, 0, 0])
     for bad in ([np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 0]):
         with pytest.raises(ValueError):
-            protocol_sim.born_joint_distribution(SINGLET, bad, [0, 0, 1])
+            born(SINGLET, bad, [0, 0, 1])
         with pytest.raises(ValueError):
-            protocol_sim.born_joint_distribution(SINGLET, [0, 0, 1], bad)
+            born(SINGLET, [0, 0, 1], bad)
     with pytest.raises(ValueError):
         metrics.ChshSettings(a0=[np.nan, 0, 0], a1=[1, 0, 0], b0=[0, 1, 0],
                              b1=[0, 0, 1])
@@ -289,7 +295,7 @@ def test_simulate_agrees_with_filter():
     """A filtered run samples the state filter reports, sigma / sigma0:
     p_succ and q are filter's own bits and S is within 1e-12 of its S_max.
     An unfiltered run reads q and S off correlation_spectrum and
-    chsh_value."""
+    _chsh."""
     rng = np.random.default_rng(97)
     werner = states.make_family(states.FamilySpec(variant="werner", p=0.8))
     bell = [states.bell_state(k).rho for k in ("phi+", "phi-", "psi+", "psi-")]
@@ -312,8 +318,9 @@ def test_simulate_agrees_with_filter():
             st, protocol_sim.SimConfig(rounds=2_000, seed=i))
         spec = metrics.correlation_spectrum(st)
         assert rep.q_analytic == metrics.qber(spec, 2), i
-        assert rep.s_analytic == metrics.chsh_value(
-            st, metrics.optimal_chsh_settings(spec)), i
+        assert rep.s_analytic == metrics._chsh(
+            states.to_mueller(st).m[1:, 1:],
+            metrics.optimal_chsh_settings(spec)), i
 
 
 def test_filtering_requires_diagonal_form():

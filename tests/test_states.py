@@ -226,11 +226,13 @@ def test_validate_failures_name_the_invariant():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validate_non_finite_fails_every_check(bad):
     """A non-finite entry reads NaN deviations and fails, with no LAPACK
-    call on it (eigvalsh raised LinAlgError on NaN)."""
+    call on it (eigvalsh raised LinAlgError on NaN), and is the one failure
+    reported."""
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 0] = bad
     rep = states.validate(states.TwoQubitState(rho))
-    assert not rep.ok and not rep.hermitian and len(rep.failures) == 3
+    assert not rep.ok and not rep.hermitian
+    assert rep.failures == ("non-finite entry",)
     assert np.isnan(rep.trace_dev) and np.isnan(rep.min_eig)
 
 
