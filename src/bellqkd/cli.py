@@ -282,10 +282,18 @@ def _build_parser() -> _Parser:
 
     ps = sub.add_parser("simulate", help="seeded protocol Monte Carlo")
     ps.add_argument("state_file")
-    ps.add_argument("--rounds", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--with-filtering", action="store_true")
-    ps.add_argument("--chsh-fraction", type=float, default=0.1)
+    ps.add_argument("--rounds", type=int, required=True,
+                    help="protocol rounds to sample, >= 1")
+    ps.add_argument("--seed", type=int, default=0,
+                    help="Philox seed, >= 0; a (state, rounds, seed, flags) "
+                         "tuple gives the same report bytes (default 0)")
+    ps.add_argument("--with-filtering", action="store_true",
+                    help="pass each round through the optimal local filters "
+                         "with probability p_succ and measure the filtered "
+                         "state")
+    ps.add_argument("--chsh-fraction", type=float, default=0.1,
+                    help="share of rounds that measure the CHSH settings "
+                         "instead of the key bases, in [0, 1) (default 0.1)")
     ps.set_defaults(func=_cmd_simulate)
 
     pw = sub.add_parser("sweep", help="family grid sweep to CSV")

@@ -13,15 +13,21 @@ Randomness comes from numpy's counter-based Philox generator, consumed
 in blocks of fixed size with a fixed per-block draw order (filter
 uniform when filtering is on, test flag, Alice index, Bob index, outcome
 uniform), so a (state, config) pair reproduces its report bit for bit.
-Each draw is read in slices, which give the numbers of one call, so a
-block holds one int8 code per round and a run's memory does not grow
-with its rounds. Every count in the report is read from one 8x4 table of
-accepted rounds by (row = 4 is_test + 2 a + b, outcome), one bincount
-per slice.
+The draws are numpy Generator's random() and integers(0, 2), read off
+the bit generator's raw 64-bit words: a flag compares a word with an
+integer threshold, a word gives two coin flips, and a (256, 16) table
+by (top byte, row) gives an outcome, compared exactly only where a Born
+bound falls in the byte's bucket. Each draw is read in slices, which give
+the numbers of one call, so a block holds one int8 code per round and a
+run's memory does not grow with its rounds. Every count in the report is
+read from one 8x4 table of accepted rounds by (row = 4 is_test + 2 a +
+b, outcome), one bincount per slice.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,7 @@ __all__ = ["SimConfig", "SimReport", "run_protocol"]
 
 _BLOCK = 1 << 19  # draw-block length; part of the reproducibility contract
 _SLICE = 1 << 14  # rounds per read of a draw; any length gives the same draws
+_DROPPED, _AMBIGUOUS = 32, 33  # outcome-table keys past the 8x4 counts
 
 
 @dataclass(frozen=True)
@@ -52,9 +59,14 @@ class SimConfig:
     chsh_test_fraction: float = 0.1
 
     def __post_init__(self):
-        if int(self.rounds) < 1:
+        for name in ("rounds", "seed"):
+            try:  # 2000.7 rounds would run 2000; a float seed fails in numpy
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+        if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0.0 <= self.chsh_test_fraction < 1.0:
             raise ValueError("chsh_test_fraction must lie in [0, 1)")
@@ -93,19 +105,86 @@ def _born_table(m: np.ndarray, ab: np.ndarray, p: float) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def _word_cut(p: float) -> int:
+    # random() is (w >> 11) / 2**53 for a raw word w; the integer w >> 11
+    # is below p 2**53 exactly when it is below ceil(p 2**53), so random()
+    # < p exactly when w < this cut, which is 1 << 64 when every word is
+    return min(max(math.ceil(p * (1 << 53)), 0), 1 << 53) << 11
+
+
+def _coin_flips(words):
+    # integers(0, 2, size=m) of numpy's Generator, as a draw of m: Lemire's
+    # method on a range of 2 keeps the top bit of a uint32 half, and Philox
+    # hands out a word's low half first and keeps its high half for the
+    # next draw. As little-endian int32 pairs the halves are in that order.
+    spare = []
+
+    def draw(m: int) -> np.ndarray:
+        w = words((m - len(spare) + 1) // 2)
+        top = w.astype("<u8", copy=False).view("<i4") < 0
+        if spare:
+            top = np.concatenate((spare.pop(), top))
+        if len(top) > m:
+            spare.append(top[m:])
+        return top[:m]
+    return draw
+
+
+def _outcome_keys(cum: np.ndarray):
+    # Key 4 row + k of each round, as a function of its outcome words w and
+    # row codes r, where k counts the bounds cum[:, row] below the uniform
+    # and rows 8..15 (dropped) key _DROPPED. The uniform beats bound b
+    # exactly when the integer w >> 11 is above B = min(floor(b 2**53),
+    # 2**53). Bucket h = w >> 56 holds w >> 11 in [h 2**45, (h + 1) 2**45);
+    # a row's k is the same over a bucket unless one of its B falls inside,
+    # so a (256, 16) table by (h, row) gives the key, or _AMBIGUOUS for the
+    # rounds then compared with B one by one.
+    B = np.minimum(np.floor(cum * float(1 << 53)), float(1 << 53))
+    B = B.astype(np.int64)
+    least = np.arange(256, dtype=np.int64) << 45
+    k, k_top = ((B[..., None] < least + d).sum(axis=0)
+                for d in (0, (1 << 45) - 1))
+    table = np.full((256, 16), _DROPPED, dtype=np.intp)
+    table[:, :8] = np.where(k == k_top, k + 4 * np.arange(8)[:, None],
+                            _AMBIGUOUS).T
+    table = table.ravel()
+
+    def keys(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+        idx = (w >> 56).view(np.intp)  # table index 16 h + row
+        idx <<= 4
+        idx |= r
+        key = table.take(idx)
+        amb = np.flatnonzero(key == _AMBIGUOUS)
+        if len(amb):
+            ra = r[amb]
+            x = (w[amb] >> 11).view(np.int64)
+            key[amb] = 4 * ra + (x > B[:, ra]).sum(axis=0)
+        return key
+    return keys
+
+
 def _count_rounds(cum, p_keep: float, config: SimConfig) -> np.ndarray:
     # (8, 4) counts of accepted rounds by (row, outcome k), outcome k the
-    # sign pair (+,+), (+,-), (-,+), (-,-). A block holds one int8 code per
-    # round, 8 drop + 4 is_test + 2 a + b, built draw by draw and counted
-    # per slice; rows 8..15 (dropped rounds) count into bins 32..63.
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    frac = config.chsh_test_fraction
+    # sign pair (+,+), (+,-), (-,+), (-,-). Every draw reads the raw words
+    # of the one Philox stream that Generator.random and .integers would
+    # read, in the same order, and gives the same numbers. A block holds
+    # one int8 code per round, 8 drop + 4 is_test + 2 a + b, built draw by
+    # draw; each slice's outcome words then give keys by the bucket table,
+    # resolved exactly on the few rounds whose bucket holds a bound.
+    words = np.random.Philox(config.seed).random_raw
+    keep = _word_cut(p_keep)
+    test = np.uint64(_word_cut(config.chsh_test_fraction))
+
+    def dropped(m: int):  # random() >= p_keep, for no word at p_keep >= 1
+        w = words(m)
+        return w >= np.uint64(keep) if keep < 1 << 64 else False
+
     # filter uniform (when filtering), test flag, Alice's and Bob's index
-    draws = ([lambda m: rng.random(m) >= p_keep] * config.with_filtering
-             + [lambda m: rng.random(m) < frac]
-             + [lambda m: rng.integers(0, 2, size=m)] * 2)
-    bounds = np.tile(cum, 2)
-    N = np.zeros(64, dtype=np.int64)
+    flips = _coin_flips(words)
+    draws = ([dropped] * config.with_filtering
+             + [lambda m: words(m) < test] + [flips] * 2)
+    outcome_keys = _outcome_keys(cum)
+    N = np.zeros(_AMBIGUOUS + 1, dtype=np.int64)
     left = int(config.rounds)
     while left > 0:
         n = min(_BLOCK, left)
@@ -115,15 +194,11 @@ def _count_rounds(cum, p_keep: float, config: SimConfig) -> np.ndarray:
         for draw in draws:
             for s, e in cuts:
                 r = row[s:e]
-                r <<= 1
+                r += r  # r <<= 1, which numpy does not vectorise for int8
                 r |= draw(e - s)
         for s, e in cuts:
-            r = row[s:e]
-            uo = rng.random(e - s)
-            key = 4 * r
-            for bound in bounds:
-                key += uo > bound.take(r)
-            N += np.bincount(key, minlength=64)
+            key = outcome_keys(words(e - s), row[s:e])
+            N += np.bincount(key, minlength=_AMBIGUOUS + 1)
     return N[:32].reshape(8, 4)
 
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bellqkd import filtering, metrics, protocol_sim, states
 
@@ -99,6 +101,19 @@ def test_sim_config_validation():
         protocol_sim.SimConfig(rounds=10, seed=1, chsh_test_fraction=-0.1)
     cfg = protocol_sim.SimConfig(rounds=10, seed=1, chsh_test_fraction=0.0)
     assert cfg.chsh_test_fraction == 0.0
+
+
+def test_sim_config_rejects_fractional_rounds():
+    # int() would truncate 2000.7 and run 2,000 rounds without a word
+    with pytest.raises(ValueError, match="rounds must be an integer"):
+        protocol_sim.SimConfig(rounds=2000.7, seed=1)
+    assert protocol_sim.SimConfig(rounds=np.int64(2000), seed=1).rounds == 2000
+
+
+def test_sim_config_rejects_fractional_seed():
+    # numpy's SeedSequence would raise TypeError only once a run starts
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        protocol_sim.SimConfig(rounds=10, seed=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +242,47 @@ def test_slices_give_the_numbers_of_one_call():
     assert np.array_equal(sliced.random(5), whole.random(5))
 
 
+def _uniforms(words):
+    # Generator.random of each raw word: its top 53 bits over 2**53
+    return (words >> 11) * 2.0 ** -53
+
+
+# thresholds the simulator meets: filter and test-fraction edges, p_succ
+_PROBS = [0.0, 5e-324, 2.0 ** -53, 0.1, np.nextafter(0.5, 0), 0.5,
+          np.nextafter(0.5, 1), 0.3956483157256776, 1 - 2.0 ** -53, 1.0]
+
+
+def test_raw_words_give_numpys_draws():
+    """The simulator reads Philox's raw words in place of Generator calls.
+    A word w is a flag random() < p exactly when w < _word_cut(p), on
+    numpy's own draws and on the words at either side of every cut; the
+    coin flips of _coin_flips are two consecutive integers(0, 2) calls,
+    for odd and even lengths, with random reads before and after."""
+    gen = np.random.Generator(np.random.Philox(23))
+    words = np.random.Philox(23).random_raw(5000)
+    u = gen.random(5000)
+    assert np.array_equal(_uniforms(words), u)
+    for p in _PROBS:
+        cut = protocol_sim._word_cut(p)
+        edge = np.array([c for c in (cut - 2049, cut - 1, cut, cut + 1,
+                                     cut + 2048) if 0 <= c < 1 << 64],
+                        dtype=np.uint64)
+        for w, v in ((words, u), (edge, _uniforms(edge))):
+            below = (w < np.uint64(cut) if cut < 1 << 64
+                     else np.ones(len(w), dtype=bool))
+            assert np.array_equal(below, v < p), p
+            assert np.array_equal(~below, v >= p), p
+    for m in (1, 2, 999, 1000):
+        gen = np.random.Generator(np.random.Philox(m))
+        raw = np.random.Philox(m).random_raw
+        flips = protocol_sim._coin_flips(raw)
+        want = [gen.random(3), gen.integers(0, 2, size=m),
+                gen.integers(0, 2, size=m), gen.random(4)]
+        got = [_uniforms(raw(3)), flips(m), flips(m), _uniforms(raw(4))]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), m
+
+
 def _old_count_rounds(cum, p_keep, config):
     # the block loop before draws were read in slices: whole-block arrays
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -246,6 +302,76 @@ def _old_count_rounds(cum, p_keep, config):
             key += uo > bound[row]
         N += np.bincount(key[keep], minlength=32)
     return N.reshape(8, 4)
+
+
+def test_outcome_keys_on_words_beside_every_bound():
+    """An outcome word keys 4 row + the number of the row's bounds below
+    its uniform, as the Generator loop counts them, on words whose top 53
+    bits sit at, one below and one above every bound's cut and every
+    bucket edge next to it, whatever their low 11 bits; dropped rows key
+    _DROPPED."""
+    pool = [0.0, 2.0 ** -53, 3 * 2.0 ** -53, 0.25 - 2.0 ** -52,
+            np.nextafter(0.25, 0), 0.25, np.nextafter(0.25, 1), 0.3,
+            0.3 + 2.0 ** -54, 0.5 - 2.0 ** -52, 0.5 - 2.0 ** -53, 0.5,
+            0.5 + 2.0 ** -52, 0.7, 0.7, 0.7,  # a row of repeated bounds
+            127 / 256 + 2.0 ** -50, 1 - 2.0 ** -52, 1 - 2.0 ** -53, 1.0,
+            1.0, 1 + 2e-12, 0.1, 0.9]
+    cum = np.sort(np.reshape(pool, (8, 3)).T, axis=0)
+    keys = protocol_sim._outcome_keys(cum)
+    x = np.floor(cum * 2.0 ** 53).astype(np.int64)  # the cuts, (3, 8)
+    x = np.concatenate([x, x >> 45 << 45, (x >> 45) + 1 << 45])
+    x = np.concatenate([x - 1, x, x + 1]).clip(0, 2 ** 53 - 1).ravel()
+    rows = np.broadcast_to(np.arange(8), (len(x) // 8, 8)).ravel()
+    w = (x.astype(np.uint64) << 11) | np.random.default_rng(31).integers(
+        0, 2 ** 11, x.size).astype(np.uint64)
+    rows = rows.astype(np.int8)
+    u = _uniforms(w)
+    want = 4 * rows + (u > cum[:, rows]).sum(axis=0)
+    assert np.array_equal(keys(w, rows), want)
+    assert (keys(w, rows + 8) == protocol_sim._DROPPED).all()
+
+
+# bounds on the outcome table's bucket edges h/256 and on k 2**-53 near 0
+# and 1, each with its neighbours one ulp away, and a row summing to
+# 1 + 2e-12, besides any in between; three picks per row may repeat
+_EDGE_BOUNDS = sorted({float(f(b)) for b in
+                       [h / 256 for h in range(257)]
+                       + [k * 2.0 ** -53 for k in (0, 1, 2, 3)]
+                       + [1 - k * 2.0 ** -53 for k in (1, 2, 3)]
+                       + [1 + 2e-12]
+                       for f in (lambda b: b, lambda b: np.nextafter(b, 0),
+                                 lambda b: np.nextafter(b, 2))})
+_SL, _BL = protocol_sim._SLICE, protocol_sim._BLOCK
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rows=hst.lists(hst.lists(hst.sampled_from(_EDGE_BOUNDS)
+                                | hst.floats(0, 1 + 2e-12),
+                                min_size=3, max_size=3).map(sorted),
+                      min_size=8, max_size=8),
+       repeat=hst.booleans(),
+       p_keep=hst.sampled_from([1.0, 1 - 2.0 ** -53, np.nextafter(0.5, 0),
+                                0.5, np.nextafter(0.5, 1)]),
+       frac=hst.sampled_from([0.0, 5e-324, 1 - 2.0 ** -53, 0.1]),
+       rounds=hst.sampled_from([1, 3, _SL - 1, _SL + 1, 3 * _SL + 5,
+                                _BL - 1, _BL + 1])
+       | hst.integers(0, 3000).map(lambda i: 2 * i + 1),
+       seed=hst.integers(0, 2 ** 32), filt=hst.booleans())
+def test_count_rounds_matches_generator_loop_on_edges(rows, repeat, p_keep,
+                                                      frac, rounds, seed,
+                                                      filt):
+    """_count_rounds, which reads raw words, counts what the whole-block
+    Generator loop counts, with bounds on and beside the outcome table's
+    bucket edges and 2**-53 steps, repeated bounds, p_keep and the test
+    fraction at their extremes, and odd round counts across slice and
+    block edges."""
+    if repeat:
+        rows[1] = [rows[1][0]] * 3
+    cum = np.ascontiguousarray(np.array(rows).T)
+    cfg = protocol_sim.SimConfig(rounds=rounds, seed=seed, with_filtering=filt,
+                                 chsh_test_fraction=frac)
+    assert np.array_equal(protocol_sim._count_rounds(cum, p_keep, cfg),
+                          _old_count_rounds(cum, p_keep, cfg))
 
 
 def _report_or_error(st, cfg):
