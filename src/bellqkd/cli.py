@@ -107,7 +107,7 @@ def _cmd_analyze(args) -> int:
         settings = {"a0": s.a0, "a1": s.a1, "b0": s.b0, "b1": s.b1}
     except ValueError:  # zero correlation block has no preferred settings
         settings = None
-    ent = filtering.entanglement_report(st)
+    c = filtering.concurrence(st)
     _emit({
         "spectrum": list(ms.spectrum.lambdas),
         "s_max": ms.s_max,
@@ -116,8 +116,8 @@ def _cmd_analyze(args) -> int:
         "q_L3": metrics.qber(ms.spectrum, 3),
         "r_min": ms.r_min,
         "region": ms.region.value,
-        "concurrence": ent.concurrence,
-        "eof": ent.eof,
+        "concurrence": c,
+        "eof": filtering.entanglement_of_formation(c),
         "validity": {
             "hermitian": rep.hermitian,
             "trace_dev": rep.trace_dev,
@@ -313,7 +313,3 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return e.code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -64,7 +64,6 @@ __all__ = [
     "MINKOWSKI_G",
     "FilterPair",
     "FilterOutcome",
-    "EntanglementReport",
     "MetricsSummary",
     "XFormError",
     "TrivialNormalFormError",
@@ -72,7 +71,6 @@ __all__ = [
     "XFORM",
     "concurrence",
     "entanglement_of_formation",
-    "entanglement_report",
     "summarize_metrics",
     "filtered_key_rate",
     "BatchOutcome",
@@ -139,29 +137,12 @@ class FilterPair:
             object.__setattr__(self, name, a)
             if a.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {a.shape}")
-            if not _norm_ok(a):
+        f = np.stack((self.m1, self.n1))
+        ok = np.isfinite(f).all(axis=(1, 2))  # no NaN or inf reaches LAPACK
+        ok[ok] = np.linalg.svd(f[ok], compute_uv=False)[:, 0] <= 1 + _NORM_TOL
+        for name, good in zip(("m1", "n1"), ok):
+            if not good:
                 raise ValueError(f"{name} has operator norm > 1")
-
-
-def _norm_ok(f: np.ndarray) -> np.ndarray:
-    """Operator norm at most 1 + _NORM_TOL, for a 2x2 filter; a filter
-    with a NaN entry fails.
-
-    The norm squared is the top eigenvalue of h = f^dag f, in closed form;
-    unlike the one from |f|_F and |det f|, it keeps the unitaries' 1 to
-    1e-15."""
-    a = np.abs(f[..., 0, 0]) ** 2 + np.abs(f[..., 1, 0]) ** 2
-    d = np.abs(f[..., 0, 1]) ** 2 + np.abs(f[..., 1, 1]) ** 2
-    h01 = (f[..., 0, 0].conj() * f[..., 0, 1]
-           + f[..., 1, 0].conj() * f[..., 1, 1])
-    top = (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(h01))
-    return top <= (1.0 + _NORM_TOL) ** 2
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    concurrence: float
-    eof: float
 
 
 @dataclass(frozen=True)
@@ -716,11 +697,6 @@ def entanglement_of_formation(c: float) -> float:
     if 0.0 < x < 1.0:
         h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
     return float(h)
-
-
-def entanglement_report(state: TwoQubitState) -> EntanglementReport:
-    c = concurrence(state)
-    return EntanglementReport(concurrence=c, eof=entanglement_of_formation(c))
 
 
 # ---------------------------------------------------------------------------

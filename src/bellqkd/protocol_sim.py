@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import _filtered_state
-from .metrics import (_UNIT_TOL, _chsh, correlation_spectrum,
-                      optimal_chsh_settings, qber)
+from .metrics import _chsh, correlation_spectrum, optimal_chsh_settings, qber
 from .states import _PSD_TOL, _TRACE_TOL, TwoQubitState, to_mueller
 
 __all__ = ["SimConfig", "SimReport", "run_protocol"]
@@ -64,6 +63,10 @@ class SimConfig:
                 operator.index(getattr(self, name))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
+        # the flag counts the drop draws per round: 2 or 0.5 fail mid-run
+        if not isinstance(self.with_filtering, (bool, np.bool_)):
+            raise ValueError("with_filtering must be a bool")
+        object.__setattr__(self, "with_filtering", bool(self.with_filtering))
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.seed < 0:
@@ -93,8 +96,6 @@ def _born_table(m: np.ndarray, ab: np.ndarray, p: float) -> np.ndarray:
     # eigenvalue of a state validate accepts (over p after norm-1 filters
     # that pass with probability p) and rows sum to its trace, each give or
     # take _TRACE_TOL of round-off; RuntimeError where they do not
-    if not (np.abs(np.linalg.norm(ab, axis=-1) - 1.0) <= _UNIT_TOL).all():
-        raise ValueError("measurement direction must be a unit 3-vector")
     # rows s = +1, -1 of (1, s a), columns t = +1, -1 of (1, t b)
     x = np.ones(ab.shape[:2] + (2, 4))
     x[..., 1:] = ab[:, :, None] * [[1.0], [-1.0]]

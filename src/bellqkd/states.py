@@ -194,13 +194,16 @@ def _deviations(rho: np.ndarray):
     # zeros in their place, so no NaN reaches LAPACK
     h = np.where(bad[..., None, None], 0.0, rho) if bad.any() else rho
     h_h = h.conj().swapaxes(-1, -2)
-    t = h.diagonal(0, -2, -1).sum(axis=-1) - 1.0  # hypot: abs() to the bit
     dev = np.empty(bad.shape + (3,))
-    dev[..., 0] = np.abs(h - h_h).max(axis=(-2, -1))
-    dev[..., 1] = np.hypot(t.real, t.imag)
-    # eigvalsh is only meaningful on the Hermitized matrix; halving before
-    # the sum keeps it finite for entries near the largest float
-    dev[..., 2] = np.linalg.eigvalsh(h / 2 + h_h / 2)[..., 0]  # ascending
+    # finite entries near the largest float overflow to inf (or, in the
+    # trace's pairwise sum, to inf - inf = NaN), which fails its check;
+    # halving before the sum keeps the Hermitized matrix finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = h.diagonal(0, -2, -1).sum(axis=-1) - 1.0  # hypot: abs() to the bit
+        dev[..., 0] = np.abs(h - h_h).max(axis=(-2, -1))
+        dev[..., 1] = np.hypot(t.real, t.imag)
+        # eigvalsh is only meaningful on the Hermitized matrix
+        dev[..., 2] = np.linalg.eigvalsh(h / 2 + h_h / 2)[..., 0]  # ascending
     if h is not rho:
         dev[bad] = np.nan
     return dev, dev * _SIGNS <= _BOUNDS

@@ -105,10 +105,11 @@ def test_acceptance_2_postfilter_worked_example(record_acceptance):
 
 def test_acceptance_3_entanglement_of_formation(record_acceptance):
     fails = []
-    rep = filtering.entanglement_report(gisin(ALPHA, MU))
+    eof = filtering.entanglement_of_formation(
+        filtering.concurrence(gisin(ALPHA, MU)))
     want = _eof(C_CLOSED)
-    check(fails, abs(rep.eof - want) <= 5e-4,
-          f"eof = {rep.eof:.6f}, want {want:.6f} +/- 5e-4")
+    check(fails, abs(eof - want) <= 5e-4,
+          f"eof = {eof:.6f}, want {want:.6f} +/- 5e-4")
     record_acceptance(3, "worked example entanglement of formation", fails)
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as hst
 
 from bellqkd import cli, filtering, states
 
@@ -184,14 +186,25 @@ def test_non_number_matrix_entries_exit_64(capsys, tmp_path, command, entry):
                                      ["simulate", "--rounds", "100"]])
 def test_huge_matrix_entries_exit_1(capsys, tmp_path, command):
     """Finite entries near the largest float give an invalid state, not a
-    traceback: validate's Hermitized matrix must not overflow."""
-    rho = np.eye(4) / 4
-    rho[0, 1] = rho[1, 0] = 1e308
-    path = write(tmp_path, "huge.json", matrix_doc(rho))
-    code, out, err = run(capsys, [command[0], path, *command[1:]])
-    assert code == 1 and out == ""
-    assert err.startswith("error: invalid state: ")
-    assert "negative eigenvalue" in err
+    traceback or a numpy warning: validate's Hermitized matrix must not
+    overflow, and a deviation that does reads inf and fails its check."""
+    def huge(entries):
+        rho = np.eye(4) / 4
+        for ij, x in entries.items():
+            rho[ij] = x
+        return rho
+
+    for rho, failure in [
+            (huge({(0, 1): 1e308, (1, 0): 1e308}), "negative eigenvalue"),
+            (huge({(0, 1): 1e308, (1, 0): -1e308}),
+             "not Hermitian (max deviation inf)"),
+            (huge({(0, 0): 1e308, (1, 1): 1e308}),
+             "trace != 1 (deviation inf)")]:
+        path = write(tmp_path, "huge.json", matrix_doc(rho))
+        code, out, err = run(capsys, [command[0], path, *command[1:]])
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid state: ")
+        assert failure in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +620,9 @@ def test_sweep_rows_from_pauli_coefficients(capsys, tmp_path):
 
 
 def test_sweep_writes_nothing_to_stderr(tmp_path):
-    """The 50 x 50 grid, whose pure mu = 1 row keeps the eigenspace route
-    while every other cell takes the closed forms, leaves stderr empty: no
-    numpy warning from the masked rows of either route."""
+    """The 50 x 50 grid leaves stderr empty: no numpy warning from the
+    masked rows of the axial closed forms, which every cell takes, the
+    pure mu = 1 row as pair rows (rank 2 on span{|01>, |10>})."""
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "bellqkd", "sweep", "--family", "gisin",
@@ -758,3 +771,84 @@ def test_every_command_exits_in_contract(capsys, tmp_path):
                       "2000"]):
             code, _, _ = run(capsys, argv)
             assert code in (0, 1, 2), (i, argv[0], code)
+
+
+# any finite number, with the edges of a family's domain and of the floats
+NUMBERS = (hst.floats(allow_nan=False, allow_infinity=False)
+           | hst.sampled_from([0, 1, -0.0, 5e-324, 1e308, -1e308]))
+# a number in (0, 1) three times in four, so that most documents are states
+PARAMS = hst.integers(0, 3).flatmap(
+    lambda k: NUMBERS if k == 0 else hst.floats(0.0, 1.0, exclude_min=True,
+                                                exclude_max=True))
+FAMILY_DOCS = hst.fixed_dictionaries(
+    {"family": hst.fixed_dictionaries({"variant": hst.just("bell"),
+                                       "label": hst.sampled_from(
+                                           ["phi+", "phi-", "psi+", "psi-",
+                                            "psi"])})
+     | hst.fixed_dictionaries({"variant": hst.just("werner"), "p": PARAMS})
+     | hst.fixed_dictionaries({"variant": hst.just("gisin"),
+                               "alpha": PARAMS, "mu": PARAMS})},
+    optional={"depolarize": PARAMS})
+MATRIX_DOCS = hst.lists(NUMBERS | hst.just(0.25), min_size=32,
+                        max_size=32).map(
+    lambda xs: {"matrix": np.reshape(xs, (4, 4, 2)).tolist()})
+
+
+@hst.composite
+def psd_docs(draw):
+    """A random state of rank 1-4, under random local filters or not."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    rho = random_density_matrix(rng, rank=draw(hst.integers(1, 4)))
+    if draw(hst.booleans()):
+        rho = filtered(rho, random_filter(rng, 1e-3), random_filter(rng, 1e-3))
+    return matrix_doc(rho)
+
+
+def huge_doc(*entries):
+    rho = np.eye(4, dtype=complex) / 4
+    for i, j, x in entries:
+        rho[i, j] = x
+    return matrix_doc(rho)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=FAMILY_DOCS | MATRIX_DOCS | psd_docs())
+@example(doc=huge_doc((0, 1, 1e308), (1, 0, -1e308)))  # h - h^H overflows
+@example(doc=huge_doc((0, 0, 1e308), (1, 1, 1e308)))  # so does the trace
+@example(doc=huge_doc((0, 0, 1e308 + 1e308j), (1, 1, 1e308 + 1e308j)))
+@example(doc=huge_doc(*((k, k, (-1) ** (k // 2) * 1e308) for k in range(4))))
+def test_any_state_file_exits_in_contract(capsys, tmp_path, doc):
+    """analyze, filter and simulate --with-filtering answer any state file
+    with exit 0, 1, 2 or 64 and at most one error line, and no numpy
+    warning: pytest's filter makes a RuntimeWarning an error. The examples
+    overflowed validate's deviations (1e308 - -1e308, a trace of 2e308, a
+    complex one, and inf - inf in the trace's pairwise sum)."""
+    path = write(tmp_path, "state.json", doc)
+    for argv in (["analyze", path], ["filter", path],
+                 ["simulate", path, "--with-filtering", "--rounds", "300"]):
+        code, _, err = run(capsys, argv)
+        assert code in (0, 1, 2, 64), (argv[0], code)
+        assert err == "" or (err.startswith("error: ")
+                             and err.count("\n") == 1), err
+
+
+# start:stop:count of at most 5 points, in order three times in four
+RANGES = hst.builds(
+    lambda a, b, n, k: f"{min(a, b)!r}:{max(a, b)!r}:{n}" if k
+    else f"{max(a, b)!r}:{min(a, b)!r}:{n}",
+    PARAMS, PARAMS, hst.integers(-1, 5), hst.integers(0, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=RANGES, mu=RANGES)
+def test_any_sweep_range_exits_in_contract(capsys, tmp_path, alpha, mu):
+    """sweep answers any range of at most 5 points per axis with exit 0, 1,
+    2 or 64, and writes its CSV only on exit 0."""
+    out = tmp_path / "grid.csv"
+    code, _, err = run(capsys, ["sweep", "--family", "gisin", "--alpha",
+                                alpha, "--mu", mu, "--out", str(out)])
+    assert code in (0, 1, 2, 64), code
+    assert out.exists() == (code == 0) and (err == "") == (code == 0), err
+    out.unlink(missing_ok=True)

@@ -30,11 +30,10 @@ PUBLIC = [
     "correlation_spectrum", "chsh_max", "optimal_chsh_settings", "qber",
     "key_rate_symmetric", "q_crit", "q_crit_symmetric", "classify",
     # filtering
-    "MINKOWSKI_G", "FilterPair", "FilterOutcome", "EntanglementReport",
-    "MetricsSummary", "XFormError", "TrivialNormalFormError", "DIAGONAL",
-    "XFORM", "concurrence", "entanglement_of_formation",
-    "entanglement_report", "summarize_metrics", "filtered_key_rate",
-    "BatchOutcome", "filtered_key_rate_batch",
+    "MINKOWSKI_G", "FilterPair", "FilterOutcome", "MetricsSummary",
+    "XFormError", "TrivialNormalFormError", "DIAGONAL", "XFORM",
+    "concurrence", "entanglement_of_formation", "summarize_metrics",
+    "filtered_key_rate", "BatchOutcome", "filtered_key_rate_batch",
     # protocol_sim
     "SimConfig", "SimReport", "run_protocol",
     "__version__",

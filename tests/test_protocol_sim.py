@@ -70,21 +70,6 @@ def test_born_reproduces_mueller_moments():
         assert np.abs(p - ref).max() < 1e-12
 
 
-def test_born_rejects_non_unit_direction():
-    with pytest.raises(ValueError):
-        born(SINGLET, [0, 0, 2], [0, 0, 1])
-    with pytest.raises(ValueError):
-        born(SINGLET, [0, 0, 1], [0.5, 0, 0])
-    for bad in ([np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 0]):
-        with pytest.raises(ValueError):
-            born(SINGLET, bad, [0, 0, 1])
-        with pytest.raises(ValueError):
-            born(SINGLET, [0, 0, 1], bad)
-    with pytest.raises(ValueError):
-        metrics.ChshSettings(a0=[np.nan, 0, 0], a1=[1, 0, 0], b0=[0, 1, 0],
-                             b1=[0, 0, 1])
-
-
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -114,6 +99,24 @@ def test_sim_config_rejects_fractional_seed():
     # numpy's SeedSequence would raise TypeError only once a run starts
     with pytest.raises(ValueError, match="seed must be an integer"):
         protocol_sim.SimConfig(rounds=10, seed=1.5)
+
+
+def test_sim_config_takes_only_a_bool_filter_flag():
+    """with_filtering counts the drop draws per round: 2 would index past
+    the count table and 0.5 or "yes" would fail inside the run. np.True_
+    is stored as True and draws as True does."""
+    for flag in (2, 1, 0, 0.5, "yes", None):
+        with pytest.raises(ValueError, match="with_filtering must be a bool"):
+            protocol_sim.SimConfig(rounds=10, seed=1, with_filtering=flag)
+    for flag in (np.True_, np.False_):
+        cfg = protocol_sim.SimConfig(rounds=2_000, seed=3,
+                                     with_filtering=flag)
+        assert type(cfg.with_filtering) is bool
+        want = protocol_sim.SimConfig(rounds=2_000, seed=3,
+                                      with_filtering=bool(flag))
+        assert cfg == want
+        assert (protocol_sim.run_protocol(GISIN, cfg)
+                == protocol_sim.run_protocol(GISIN, want))
 
 
 # ---------------------------------------------------------------------------
