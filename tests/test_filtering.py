@@ -143,26 +143,33 @@ def test_double_cover_group_law():
 
 
 def test_filter_pair_norm_bound():
-    """FilterPair passes unitaries and fails a norm of 1 + 1e-9 or a
-    non-finite entry, reporting m1 before n1, and puts the bound where the
-    SVD's top singular value puts it, to 1e-14 relative."""
     with pytest.raises(ValueError):
         filtering.FilterPair(m1=np.eye(2) * 1.5, n1=np.eye(2))
     pair = filtering.FilterPair(m1=np.eye(2), n1=np.eye(2) * 0.5)
     assert np.abs(pair.n1 - np.eye(2) * 0.5).max() == 0
+
+
+def test_norm_check_closed_form():
+    """FilterPair's norm check passes unitaries and fails a norm of
+    1 + 1e-9 or a non-finite entry, reporting m1 before n1, and puts the
+    bound where the SVD's top singular value puts it, to 1e-14 relative."""
     rng = np.random.default_rng(23)
     u = np.array([haar_su2(rng) * np.exp(2j * np.pi * rng.uniform())
-                  for _ in range(200)])
-    for a, b in zip(u[:100], u[100:]):
+                  for _ in range(2000)])
+    for a, b in zip(u[:1000], u[1000:]):
         filtering.FilterPair(m1=a, n1=b)
-    with pytest.raises(ValueError, match="^n1 has"):
-        filtering.FilterPair(m1=u[0], n1=u[1] * (1.0 + 1e-9))
+    over = u * (1.0 + 1e-9)
+    for a, b in zip(u[:100], over[100:200]):
+        with pytest.raises(ValueError, match="^n1 has"):
+            filtering.FilterPair(m1=a, n1=b)
+        with pytest.raises(ValueError, match="^m1 has"):
+            filtering.FilterPair(m1=b, n1=a)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^n1 has"):
             filtering.FilterPair(m1=u[0], n1=np.full((2, 2), bad))
         with pytest.raises(ValueError, match="^m1 has"):
             filtering.FilterPair(m1=u[0] * 1.5, n1=np.full((2, 2), bad))
-    f = rng.normal(size=(100, 2, 2)) + 1j * rng.normal(size=(100, 2, 2))
+    f = rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))
     f /= np.linalg.svd(f, compute_uv=False)[:, 0, None, None]
     bound = 1.0 + filtering._NORM_TOL
     for a in f:
@@ -567,8 +574,21 @@ def test_entanglement_of_formation():
         filtering.entanglement_of_formation(1.2)
     with pytest.raises(ValueError):
         filtering.entanglement_of_formation(-0.1)
-    eof = filtering.entanglement_of_formation(filtering.concurrence(GISIN))
+
+
+def test_entanglement_report_consistency():
+    """The concurrence and EoF that analyze reports agree, EoF being
+    h((1 + sqrt(1 - C^2))/2); the maximally mixed state gives 0 for both."""
+    c = filtering.concurrence(GISIN)
+    eof = filtering.entanglement_of_formation(c)
+    assert abs(c - 0.5169115383617229) < 1e-8
     assert abs(eof - 0.3732717297440843) < 1e-8
+    x = (1 + np.sqrt(1 - c ** 2)) / 2
+    h = -x * np.log2(x) - (1 - x) * np.log2(1 - x)
+    assert abs(eof - h) < 1e-12
+    mixed = states.TwoQubitState(np.eye(4, dtype=complex) / 4)
+    c = filtering.concurrence(mixed)
+    assert c == 0.0 and filtering.entanglement_of_formation(c) == 0.0
 
 
 # ---------------------------------------------------------------------------

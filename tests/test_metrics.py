@@ -180,9 +180,6 @@ def test_chsh_settings_require_unit_vectors():
                              a1=np.array([1.0, 0, 0]),
                              b0=np.array([1.0, 0, 0]),
                              b1=np.array([0, 1.0, 0]))
-    with pytest.raises(ValueError):
-        metrics.ChshSettings(a0=[np.nan, 0, 0], a1=[1, 0, 0], b0=[0, 1, 0],
-                             b1=[0, 0, 1])
 
 
 def test_optimal_settings_need_correlations():

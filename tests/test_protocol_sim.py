@@ -70,6 +70,29 @@ def test_born_reproduces_mueller_moments():
         assert np.abs(p - ref).max() < 1e-12
 
 
+def test_born_rejects_non_unit_direction():
+    """The Born table reads its directions unchecked: from ChshSettings,
+    which rejects a non-unit or non-finite one, and from the aligned axes
+    of the plain or filtered spectrum, which are unit vectors."""
+    z = [0, 0, 1]
+    for bad in ([0, 0, 2], [0.5, 0, 0], [np.nan, 0, 0], [np.inf, 0, 0],
+                [0, -np.inf, 0]):
+        for slot in ("a0", "a1", "b0", "b1"):
+            dirs = {"a0": z, "a1": z, "b0": z, "b1": z, slot: bad}
+            with pytest.raises(ValueError, match=f"^{slot} must be a unit"):
+                metrics.ChshSettings(**dirs)
+    rng = np.random.default_rng(67)
+    specs = [metrics.correlation_spectrum(st) for st in
+             [SINGLET, GISIN] + [states.TwoQubitState(random_density_matrix(rng))
+                                 for _ in range(50)]]
+    specs.append(filtering._filtered_state(states.to_mueller(GISIN))[2])
+    for spec in specs:
+        s = metrics.optimal_chsh_settings(spec)
+        ab = np.vstack([spec.alice_dirs[:2], spec.bob_dirs[:2],
+                        s.a0, s.a1, s.b0, s.b1])
+        assert np.abs(np.linalg.norm(ab, axis=1) - 1.0).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
