@@ -757,7 +757,7 @@ def filtered_key_rate_batch(rhos) -> BatchOutcome:
     filterable, and a p_succ at or below the p floor raises ValueError, as
     does a row :func:`states.validate` rejects: the route tests are absolute
     bounds, for states. Temporaries grow with N, so ``sweep`` passes its
-    cells 256 at a time.
+    cells 1,000 at a time.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
     bad = np.flatnonzero(~_states._deviations(rhos)[1].all(axis=-1))

@@ -32,7 +32,6 @@ __all__ = [
     "from_pauli",
     "validate",
     "to_mueller",
-    "from_mueller",
     "make_family",
     "depolarize",
     "bell_state",
@@ -195,13 +194,16 @@ def _deviations(rho: np.ndarray):
     h = np.where(bad[..., None, None], 0.0, rho) if bad.any() else rho
     h_h = h.conj().swapaxes(-1, -2)
     dev = np.empty(bad.shape + (3,))
-    # finite entries near the largest float overflow to inf (or, in the
-    # trace's pairwise sum, to inf - inf = NaN), which fails its check;
-    # halving before the sum keeps the Hermitized matrix finite
+    # finite entries near the largest float overflow to inf, which fails
+    # its check; halving before the sum keeps the Hermitized matrix finite
+    # and the trace's sum free of inf - inf = NaN, and halving and doubling
+    # are exact away from the subnormal range (each part doubled alone: a
+    # complex product meets inf * 0 = NaN)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = h.diagonal(0, -2, -1).sum(axis=-1) - 1.0  # hypot: abs() to the bit
+        t = (h.diagonal(0, -2, -1) / 2).sum(axis=-1)
         dev[..., 0] = np.abs(h - h_h).max(axis=(-2, -1))
-        dev[..., 1] = np.hypot(t.real, t.imag)
+        # hypot: abs() to the bit
+        dev[..., 1] = np.hypot(2 * t.real - 1.0, 2 * t.imag)
         # eigvalsh is only meaningful on the Hermitized matrix
         dev[..., 2] = np.linalg.eigvalsh(h / 2 + h_h / 2)[..., 0]  # ascending
     if h is not rho:
@@ -226,13 +228,6 @@ def validate(state: TwoQubitState) -> ValidityReport:
 def to_mueller(state: TwoQubitState) -> MuellerMatrix:
     """M_ij = Tr[rho (sigma_i x sigma_j)]; imaginary residue is discarded."""
     return MuellerMatrix(_mueller(state.rho))
-
-
-def from_mueller(m: MuellerMatrix) -> TwoQubitState:
-    """Inverse of :func:`to_mueller`; requires m[0][0] = 1 (unit trace)."""
-    if not abs(m.m[0, 0] - 1.0) <= _TRACE_TOL:  # NaN fails
-        raise InvalidStateError(f"m[0][0] must be 1, got {m.m[0, 0]!r}")
-    return TwoQubitState(_pauli_rho(m.m))
 
 
 _BELL_KETS = {

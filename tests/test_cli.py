@@ -503,19 +503,22 @@ def test_sweep_out_of_domain(capsys, tmp_path):
 
 
 def test_sweep_chunks_do_not_show(capsys, tmp_path):
-    """391 cells, no multiple of the chunk size, equal 23 one-alpha sweeps."""
-    assert 391 % cli._SWEEP_CHUNK
+    """1,403 cells, more than one chunk and no multiple of its size, equal
+    23 one-alpha sweeps."""
+    cells = 23 * 61
+    assert cells > cli._SWEEP_CHUNK
+    assert cells % cli._SWEEP_CHUNK
     grid = tmp_path / "grid.csv"
     code, _, _ = run(capsys, ["sweep", "--family", "gisin",
                               "--alpha", "0.01:0.99:23",
-                              "--mu", "0.05:1.0:17", "--out", str(grid)])
+                              "--mu", "0.05:1.0:61", "--out", str(grid)])
     assert code == 0
     rows = []
     for al in map(repr, np.linspace(0.01, 0.99, 23).tolist()):
         one = tmp_path / "one.csv"
         code, _, _ = run(capsys, ["sweep", "--family", "gisin",
                                   "--alpha", f"{al}:{al}:1",
-                                  "--mu", "0.05:1.0:17", "--out", str(one)])
+                                  "--mu", "0.05:1.0:61", "--out", str(one)])
         assert code == 0
         header, *body = one.read_text().splitlines(keepends=True)
         rows += body
@@ -526,7 +529,9 @@ def test_sweep_memory_does_not_grow_with_cells(capsys, tmp_path):
     """Each chunk takes its cells' indices from a range of its own, so a
     sweep holds one chunk of cells, states and rows at a time: the traced
     peaks of a 2,500-cell and a 90,000-cell sweep differ by less than
-    256 KiB (an index grid over every cell, 16 B each, adds 1.4 MiB)."""
+    256 KiB (an index grid over every cell, 16 B each, adds 1.4 MiB), and
+    the 2,500-cell sweep, three chunks, peaks under 1 MiB (0.7 KiB a cell
+    of a chunk)."""
     peaks = []
     for n in (50, 300):
         tracemalloc.start()
@@ -540,6 +545,7 @@ def test_sweep_memory_does_not_grow_with_cells(capsys, tmp_path):
             tracemalloc.stop()
         assert code == 0
     assert peaks[1] - peaks[0] < 256 * 2 ** 10, peaks
+    assert peaks[0] < 2 ** 20, peaks
 
 
 def test_sweep_unresolved_cell_exits_1(capsys, tmp_path, monkeypatch):
@@ -823,7 +829,8 @@ def test_any_state_file_exits_in_contract(capsys, tmp_path, doc):
     with exit 0, 1, 2 or 64 and at most one error line, and no numpy
     warning: pytest's filter makes a RuntimeWarning an error. The examples
     overflowed validate's deviations (1e308 - -1e308, a trace of 2e308, a
-    complex one, and inf - inf in the trace's pairwise sum)."""
+    complex one); the last meets inf - inf in a sum of the unhalved
+    diagonal."""
     path = write(tmp_path, "state.json", doc)
     for argv in (["analyze", path], ["filter", path],
                  ["simulate", path, "--with-filtering", "--rounds", "300"]):

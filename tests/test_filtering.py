@@ -211,7 +211,7 @@ def test_normal_form_construct_invert():
     for _ in range(150):
         lam = np.sort(rng.uniform(0.05, 1.0, size=3))[::-1]
         t = lam * rng.choice([-1.0, 1.0], size=3)
-        st = states.from_mueller(states.MuellerMatrix(np.diag([1.0, *t])))
+        st = states.TwoQubitState(states._pauli_rho(np.diag([1.0, *t])))
         pair = filtering.FilterPair(m1=random_filter(rng),
                                     n1=random_filter(rng))
         out, _ = apply_filters(st, pair)

@@ -23,8 +23,8 @@ PUBLIC = [
     # states
     "PAULI", "InvalidStateError", "StateFileError", "TwoQubitState",
     "MuellerMatrix", "FamilySpec", "ValidityReport", "from_pauli",
-    "validate", "to_mueller", "from_mueller", "make_family", "depolarize",
-    "bell_state", "load_state_file", "parse_state_spec",
+    "validate", "to_mueller", "make_family", "depolarize", "bell_state",
+    "load_state_file", "parse_state_spec",
     # metrics
     "CorrelationSpectrum", "ChshSettings", "KeyMetrics", "Region",
     "correlation_spectrum", "chsh_max", "optimal_chsh_settings", "qber",

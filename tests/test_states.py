@@ -74,27 +74,33 @@ def test_mueller_stack_equals_one_by_one():
 
 
 def test_from_mueller_round_trip():
+    """The Pauli expansion of a state's Mueller matrix gives the state back."""
     rng = np.random.default_rng(5)
     rho = random_density_matrix(rng)
-    m = states.to_mueller(states.TwoQubitState(rho))
-    back = states.from_mueller(m)
-    assert np.abs(back.rho - rho).max() < 1e-12
+    back = states._pauli_rho(states._mueller(rho))
+    assert np.abs(back - rho).max() < 1e-12
 
 
 def test_from_mueller_rejects_bad_norm():
-    m = np.eye(4)
-    m[0, 0] = 0.9
-    with pytest.raises(states.InvalidStateError):
-        states.from_mueller(states.MuellerMatrix(m))
+    """A Mueller matrix with m00 != 1 expands to a rho validate rejects."""
+    m = np.zeros((4, 4))
+    m[0, 0] = 0.9  # 0.9 I / 4: Hermitian and PSD, trace 0.9
+    rep = states.validate(states.TwoQubitState(states._pauli_rho(m)))
+    assert not rep.ok
+    assert rep.failures == ("trace != 1 (deviation 1.000e-01)",)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_from_mueller_rejects_non_finite_norm(bad):
+    """A Mueller matrix with a non-finite entry expands to a rho validate
+    rejects as non-finite."""
     m = np.eye(4)
     m[0, 0] = bad
     for mm in (m, np.full((4, 4), bad)):
-        with pytest.raises(states.InvalidStateError):
-            states.from_mueller(states.MuellerMatrix(mm))
+        with np.errstate(invalid="ignore"):  # inf in the expansion gives NaN
+            rho = states._pauli_rho(mm)
+        rep = states.validate(states.TwoQubitState(rho))
+        assert rep.failures == ("non-finite entry",)
 
 
 def test_bell_states_known_matrices():
@@ -234,6 +240,20 @@ def test_validate_non_finite_fails_every_check(bad):
     assert not rep.ok and not rep.hermitian
     assert rep.failures == ("non-finite entry",)
     assert np.isnan(rep.trace_dev) and np.isnan(rep.min_eig)
+
+
+def test_validate_trace_of_huge_entries_is_finite():
+    """The diagonal 1e308, 1e308, -1e308, -1e308 sums to 0 from halves, not
+    to inf - inf: its trace deviation is 1, and it fails as not PSD. A trace
+    whose halves overflow in both parts reads inf, not NaN."""
+    rho = np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)
+    rep = states.validate(states.TwoQubitState(rho))
+    assert rep.trace_dev == 1.0
+    assert rep.failures == ("trace != 1 (deviation 1.000e+00)",
+                            "negative eigenvalue (-1.000e+308)")
+    x = 1.7e308 + 1.7e308j
+    rep = states.validate(states.TwoQubitState(np.diag([x, x, x, 0.25])))
+    assert rep.trace_dev == np.inf
 
 
 def test_validate_tolerances():
